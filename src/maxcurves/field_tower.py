@@ -8,6 +8,14 @@ in base p, least significant digit = constant term.  The modulus and
 the distinguished generator of F_{q^2}* are both chosen as the
 lexicographically first candidates, so two towers built from the same
 (p, a) are identical object for object.
+
+Multiplication goes through discrete-log tables of a generator g of
+the ambient unit group.  For p = 2 addition is XOR of the digit
+vectors.  For odd p it uses Zech logarithms: zech[k] = log(1 + g^k),
+so g^i + g^j = g^(i + zech[j - i]), a few list lookups in place of a
+divmod per base-p digit.  The entry at k = (order - 1) / 2, where
+g^k = -1 and 1 + g^k = 0, is None.  Towers built without tables fall
+back to the digit loops, which also serve as the test oracle.
 """
 
 from __future__ import annotations
@@ -194,6 +202,7 @@ class FieldTower:
             self._fmask = sum(c << i for i, c in enumerate(self.modulus))
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._zech: list[int | None] | None = None
         if use_tables is None:
             use_tables = self.order <= DEFAULT_AMBIENT_BUDGET
         if use_tables:
@@ -204,8 +213,10 @@ class FieldTower:
     # -- construction ------------------------------------------------------
 
     def _find_modulus(self) -> tuple[int, ...]:
+        # tails with constant term 0 are divisible by T (n >= 4), so the
+        # lex search starts at constant term 1
         p, n = self.p, self.degree
-        for tail in itertools.product(range(p), repeat=n):
+        for tail in itertools.product(range(1, p), *[range(p)] * (n - 1)):
             f = list(tail) + [1]
             if p == 2:
                 mask = sum(c << i for i, c in enumerate(f))
@@ -258,6 +269,14 @@ class FieldTower:
         if acc != 1:
             raise RuntimeError("generator order mismatch")
         self._exp, self._log = exp, log
+        p = self.p
+        if p != 2:
+            # 1 + g^k: bump the constant digit of g^k; entries are the
+            # ints already held by log, so the table adds no new objects
+            top = p - 1
+            zech = [log[e + 1] if e % p != top else log[e - top] for e in exp]
+            zech[n1 // 2] = None  # g^(n1/2) = -1
+            self._zech = zech
 
     def _find_k_generator(self) -> int:
         target = self.q2 - 1
@@ -296,6 +315,49 @@ class FieldTower:
     def add(self, x: int, y: int) -> int:
         if self.p == 2:
             return x ^ y
+        zech = self._zech
+        if zech is None:
+            return self._add_raw(x, y)
+        if x == 0:
+            return y
+        if y == 0:
+            return x
+        # negative indices wrap, standing in for the reduction mod n1
+        log = self._log
+        lx = log[x]
+        z = zech[log[y] - lx]
+        if z is None:
+            return 0
+        return self._exp[lx + z - len(zech)]
+
+    def neg(self, x: int) -> int:
+        if self.p == 2 or x == 0:
+            return x
+        if self._zech is None:
+            return self._neg_raw(x)
+        exp = self._exp
+        return exp[self._log[x] - len(exp) // 2]
+
+    def sub(self, x: int, y: int) -> int:
+        if self.p == 2:
+            return x ^ y
+        zech = self._zech
+        if zech is None:
+            return self._add_raw(x, self._neg_raw(y))
+        if y == 0:
+            return x
+        if x == 0:
+            return self.neg(y)
+        log = self._log
+        lx = log[x]
+        n1 = len(zech)
+        z = zech[(log[y] + n1 // 2 - lx) % n1]
+        if z is None:
+            return 0
+        return self._exp[lx + z - n1]
+
+    def _add_raw(self, x: int, y: int) -> int:
+        """Digit-by-digit sum for odd p, without tables."""
         p = self.p
         code, mult = 0, 1
         for _ in range(self.degree):
@@ -305,9 +367,8 @@ class FieldTower:
             mult *= p
         return code
 
-    def neg(self, x: int) -> int:
-        if self.p == 2:
-            return x
+    def _neg_raw(self, x: int) -> int:
+        """Digit-by-digit negation for odd p, without tables."""
         p = self.p
         code, mult = 0, 1
         for _ in range(self.degree):
@@ -315,11 +376,6 @@ class FieldTower:
             code += (-rx % p) * mult
             mult *= p
         return code
-
-    def sub(self, x: int, y: int) -> int:
-        if self.p == 2:
-            return x ^ y
-        return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:

@@ -18,9 +18,7 @@ from .curve_model import INFINITY, CurveModel, Point
 from .field_tower import PrecisionError
 from .function_field import (
     basis_functions,
-    default_precision,
     local_expansion,
-    max_precision,
     rr_basis,
 )
 from .linalg import row_echelon
@@ -176,24 +174,25 @@ def _point_type(curve: CurveModel, P: Point) -> str:
 
 
 def order_sequence(curve: CurveModel, P: Point) -> OrderSequence:
-    """Valuations attained at P by the system cut out by L((q+1)P_inf)."""
+    """Valuations attained at P by the system cut out by L((q+1)P_inf).
+
+    A nonzero f in L((q+1)P_inf) has at most q + 1 zeros counted with
+    multiplicity, so v_P(f) <= q + 1 at every affine P.  Expansions to
+    q + 2 terms therefore keep every f of the span nonzero with its
+    valuation intact, and one echelon pass fixes all pivots.
+    """
     q = curve.tower.q
     basis = rr_basis(curve, q + 1)
     if P.is_infinity:
         orders = tuple(sorted(q + 1 - w for w in basis.pole_orders))
         return OrderSequence(P, orders, _point_type(curve, P))
     funcs = basis_functions(curve, q + 1)
-    prec = default_precision(curve)
-    cap = max_precision(curve)
-    while True:
-        rows = [list(local_expansion(P, f, prec).coeffs) for f in funcs]
-        _, pivots = row_echelon(curve.tower, rows)
-        if len(pivots) == basis.dimension:
-            return OrderSequence(P, tuple(pivots), _point_type(curve, P))
-        if prec >= cap:
-            raise PrecisionError(
-                f"order sequence unresolved at precision cap {cap}")
-        prec = min(2 * prec, cap)
+    rows = [list(local_expansion(P, f, q + 2).coeffs) for f in funcs]
+    _, pivots = row_echelon(curve.tower, rows)
+    if len(pivots) != basis.dimension:
+        raise PrecisionError(
+            f"order sequence unresolved at precision {q + 2}")
+    return OrderSequence(P, tuple(pivots), _point_type(curve, P))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,11 @@ def t7():
 
 
 @pytest.fixture(scope="session")
+def t9():
+    return build_tower(3, 2)
+
+
+@pytest.fixture(scope="session")
 def t16():
     """q = 16; the largest tower the suite touches."""
     return build_tower(2, 4)

@@ -1,12 +1,18 @@
 """End-to-end command line checks driven through main(argv)."""
 
+import importlib
 import json
-import shutil
+import os
 import subprocess
+import sys
+import tomllib
+from pathlib import Path
 
 import pytest
 
 from maxcurves import cli
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -227,11 +233,19 @@ def test_missing_required_argument_exits_2(capsys):
     assert rc == 2
 
 
-def test_installed_entry_point():
-    exe = shutil.which("maxcurves")
-    assert exe is not None
+def test_entry_points():
+    # python -m maxcurves, from the source tree as Tier-1 runs it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [exe, "curve", "--p", "2", "--a", "1", "--hermitian-m", "3"],
-        capture_output=True, text=True, timeout=120)
+        [sys.executable, "-m", "maxcurves", "curve", "--p", "2", "--a", "1",
+         "--hermitian-m", "3"],
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["counts"]["rational"] == 9
+    # the installed console script points at the same function
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["maxcurves"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main

@@ -1,11 +1,13 @@
 """Tower construction and arithmetic against brute-force polynomial oracles."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from maxcurves import BudgetError, FieldTower, build_tower
+from maxcurves.field_tower import _is_irreducible_generic, _is_irreducible_gf2
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +89,21 @@ def test_moduli_are_lex_first(t2, t3, t4, t5, t7):
                 found = g[:-1]
                 break
         assert found == target
+
+
+def test_modulus_search_skips_constant_zero(t2, t3, t4, t5, t7, t9, t16):
+    # the full lex scan, constant term 0 included, finds the same modulus
+    for tw in (t2, t3, t4, t5, t7, t9, t16):
+        p, n = tw.p, tw.degree
+        for tail in itertools.product(range(p), repeat=n):
+            f = list(tail) + [1]
+            if p == 2:
+                ok = _is_irreducible_gf2(sum(c << i for i, c in enumerate(f)), n)
+            else:
+                ok = _is_irreducible_generic(f, p)
+            if ok:
+                break
+        assert tw.modulus == tuple(f)
 
 
 def test_frozen_moduli(t2, t3, t16):
@@ -240,6 +257,44 @@ def test_tableless_tower_matches(t5):
         if x:
             assert raw.inv(x) == t5.inv(x)
     assert raw.elements(2) == t5.elements(2)
+
+
+def assert_zech_matches_digits(tw, pairs):
+    for x, y in pairs:
+        assert tw.add(x, y) == tw._add_raw(x, y)
+        assert tw.sub(x, y) == tw._add_raw(x, tw._neg_raw(y))
+
+
+def test_zech_exhaustive_small_towers(t3, t5):
+    for tw in (t3, t5):
+        assert tw._zech is not None
+        everything = range(tw.order)
+        assert_zech_matches_digits(tw, itertools.product(everything, repeat=2))
+        for x in everything:
+            assert tw.neg(x) == tw._neg_raw(x)
+
+
+def test_zech_sampled_larger_towers(t7, t9):
+    for tw in (t7, t9):
+        rng = random.Random(tw.order)
+        pairs = [(rng.randrange(tw.order), rng.randrange(tw.order))
+                 for _ in range(20000)]
+        assert_zech_matches_digits(tw, pairs)
+        for x, _ in pairs:
+            assert tw.neg(x) == tw._neg_raw(x)
+
+
+def test_zech_zero_and_cancellation(t3, t5, t7, t9):
+    for tw in (t3, t5, t7, t9):
+        assert tw._zech[(tw.order - 1) // 2] is None
+        assert tw.add(0, 0) == tw.sub(0, 0) == tw.neg(0) == 0
+        for x in (1, tw.p - 1, tw.xi, tw.order - 1):
+            mx = tw.neg(x)
+            assert mx == tw._neg_raw(x)
+            assert tw.add(x, 0) == tw.add(0, x) == tw.sub(x, 0) == x
+            assert tw.sub(0, x) == mx
+            assert tw.add(x, mx) == tw.add(mx, x) == tw.sub(x, x) == 0
+            assert tw.sub(x, mx) == tw._add_raw(x, x)
 
 
 def test_mul_against_polynomial_oracle(t3):

@@ -11,9 +11,12 @@ from maxcurves import (
     RAMIFIED,
     UNRAMIFIED,
     NumericalSemigroup,
+    PrecisionError,
     basis_functions,
+    default_precision,
     hermitian_curve,
     linear_system_info,
+    local_expansion,
     nongaps_at_infinity,
     order_census,
     order_sequence,
@@ -22,7 +25,9 @@ from maxcurves import (
     selmer_upper_bound,
     semigroup_gaps,
     valuation_at,
+    weierstrass,
 )
+from maxcurves.linalg import row_echelon
 
 
 def naive_gaps(gens, limit):
@@ -187,6 +192,33 @@ def test_orders_start_zero_one_and_increase(h25):
         assert seq.orders[0] == 0
         assert seq.orders[1] == 1
         assert list(seq.orders) == sorted(set(seq.orders))
+
+
+def test_fixed_precision_matches_wide_expansions(h23, h25, h35):
+    # q + 2 terms against the former 4(q + 1) starting precision
+    for curve in (h23, h25, h35):
+        q = curve.tower.q
+        funcs = basis_functions(curve, q + 1)
+        prec = default_precision(curve)
+        for P in curve.enumerate_points(4):
+            if P.is_infinity:
+                continue
+            orders = order_sequence(curve, P).orders
+            rows = [local_expansion(P, f, prec).coeffs for f in funcs]
+            _, pivots = row_echelon(curve.tower, rows)
+            assert orders == tuple(pivots)
+            assert orders[-1] <= q + 1
+
+
+def test_rank_shortfall_raises_precision_error(h23, monkeypatch):
+    def short(tower, rows):
+        mat, pivots = row_echelon(tower, rows)
+        return mat, pivots[:-1]
+
+    monkeypatch.setattr(weierstrass, "row_echelon", short)
+    P = next(P for P in h23.enumerate_points(2) if not P.is_infinity)
+    with pytest.raises(PrecisionError):
+        order_sequence(h23, P)
 
 
 def test_achievable_valuations_lie_in_order_set(h23):
