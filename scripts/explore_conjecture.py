@@ -1,15 +1,15 @@
 """Grid-search additive models for second-branch maximal curves.
 
-Prints the scan report as JSON. Exits 3 when the budget ran out before
-the grid was exhausted, mirroring the CLI convention.
+Prints the scan report as JSON, the same document as the `scan` block
+of `maxcurves conjecture`. Exits 3 when the budget ran out before the
+grid was exhausted, mirroring the CLI convention.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
-from maxcurves import build_tower, conjecture_explore
+from maxcurves import build_tower, conjecture_explore, to_json
 
 
 def main(argv=None):
@@ -25,12 +25,7 @@ def main(argv=None):
 
     tower = build_tower(args.p, args.a)
     rep = conjecture_explore(tower, args.m1, d=args.d, budget=args.scan_budget)
-    doc = asdict(rep)
-    doc["hits"] = [
-        {**asdict(h), "f_coeffs": [list(tower.coeffs(c)) for c in h.f_coeffs]}
-        for h in rep.hits
-    ]
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(json.dumps(to_json(rep, tower), sort_keys=True, indent=2))
     return 0 if rep.complete else 3
 
 

@@ -1,20 +1,14 @@
 """Audit every bundled instance and print one summary row each.
 
-Exits nonzero if any identity fails, so the script doubles as a smoke
-check after source changes.
+The verdict of each row is `maxcurves.audit`, the same one that
+`maxcurves audit` reports as all_identities.  Exits nonzero if any
+instance fails, so the script doubles as a smoke check after source
+changes.
 """
 
 import sys
 
-from maxcurves import (
-    bounds_report,
-    build_tower,
-    define_curve,
-    dichotomy_check,
-    hermitian_curve,
-    order_census,
-    ramification_audit,
-)
+from maxcurves import Skipped, audit, build_tower, define_curve, hermitian_curve
 
 INSTANCES = (
     ("q2 m3", 2, 1, ("hermitian", 3)),
@@ -33,25 +27,22 @@ def build(p, a, recipe):
     return define_curve(tower, recipe[1], recipe[2])
 
 
+def cell(section, flag):
+    if isinstance(section, Skipped):
+        return "skip"
+    return "ok" if getattr(section, flag) else "FAIL"
+
+
 def audit_one(name, p, a, recipe):
     curve = build(p, a, recipe)
-    bounds = bounds_report(curve)
-    verdict = dichotomy_check(curve)
-    census = order_census(curve)
-    try:
-        ram = ramification_audit(curve)
-        ram_cell = "ok" if ram.all_ok else "FAIL"
-        ram_ok = ram.all_ok
-    except ValueError:
-        ram_cell = "skip"
-        ram_ok = True
-    ok = bounds.all_ok and census.ok and ram_ok and (
-        verdict.genus_identity_ok is not False)
+    rep = audit(curve)
     print(f"{name:<8} q={curve.tower.q:<2} g={curve.genus:<2} "
-          f"N={curve.count(2):<3} branch={verdict.branch:<22} "
-          f"bounds={'ok' if bounds.all_ok else 'FAIL':<4} "
-          f"census={'ok' if census.ok else 'FAIL':<4} ram={ram_cell}")
-    return ok
+          f"N={curve.count(2):<3} branch={rep.dichotomy.branch:<22} "
+          f"census={cell(rep.order_census, 'ok'):<4} "
+          f"ram={cell(rep.ramification, 'all_ok'):<4} "
+          f"emb={cell(rep.embedding, 'ok'):<4} "
+          f"{'clean' if rep.all_identities else 'FAIL'}")
+    return rep.all_identities
 
 
 def main():

@@ -103,10 +103,6 @@ def min_distance_exact(code: EvalCode, budget: int = 1 << 22) -> DistanceReport:
 # matrix export and import
 # ---------------------------------------------------------------------------
 
-def _digits(t: FieldTower, code: int) -> str:
-    return ":".join(str(d) for d in t.coeffs(code))
-
-
 def export_matrix(code: EvalCode, path: str, fmt: str = "csv") -> None:
     t = code.curve.tower
     if fmt == "csv":
@@ -115,7 +111,7 @@ def export_matrix(code: EvalCode, path: str, fmt: str = "csv") -> None:
             w.writerow(["n", "k", "lambda", "q2"])
             w.writerow([code.length, code.dimension, code.lam, t.q2])
             for row in code.matrix:
-                w.writerow([_digits(t, v) for v in row])
+                w.writerow([t.format_element(v) for v in row])
     elif fmt == "json":
         payload = {
             "params": {
@@ -125,7 +121,7 @@ def export_matrix(code: EvalCode, path: str, fmt: str = "csv") -> None:
                 "q2": t.q2,
             },
             "basis_monomials": [[i, j] for i, j in code.monomials],
-            "matrix": [[list(t.coeffs(v)) for v in row] for row in code.matrix],
+            "matrix": [[t.digits(v) for v in row] for row in code.matrix],
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
@@ -139,7 +135,7 @@ def read_matrix_csv(path: str, tower: FieldTower) -> tuple[dict, tuple]:
         rows = list(csv.reader(fh))
     params = {name: int(v) for name, v in zip(rows[0], rows[1])}
     matrix = tuple(
-        tuple(tower.element(int(d) for d in cell.split(":")) for cell in row)
+        tuple(tower.parse_element(cell) for cell in row)
         for row in rows[2:])
     return params, matrix
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from .agcode import build_code, export_matrix, min_distance_exact
 from .curve_model import define_curve, hermitian_curve, points_to_csv
@@ -22,17 +21,9 @@ from .field_tower import (
     FieldTower,
     PrecisionError,
     build_tower,
+    to_json,
 )
-from .verdicts import (
-    BRANCH_NONE,
-    bounds_report,
-    conjecture_explore,
-    dichotomy_check,
-    embedding_check,
-    genus_interval_classify,
-    normalize_model,
-)
-from .weierstrass import linear_system_info, order_census, ramification_audit
+from .verdicts import audit, bounds_report, conjecture_explore, normalize_model
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -114,19 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _parse_element(token: str, tower: FieldTower) -> int:
-    token = token.strip()
-    if ":" in token:
-        digits = [int(x) for x in token.split(":")]
-        if len(digits) > tower.degree:
-            raise ValueError(f"element has more than {tower.degree} residues")
-        return tower.element(digits)
-    code = int(token)
-    if not 0 <= code < tower.order:
-        raise ValueError(f"element code {code} is out of range")
-    return code
-
-
 def _curve_from(args, tower: FieldTower):
     picked_h = args.hermitian_m is not None
     picked_a = args.additive is not None
@@ -136,36 +114,8 @@ def _curve_from(args, tower: FieldTower):
         return hermitian_curve(tower, args.hermitian_m)
     if args.d is None:
         raise ValueError("--additive requires --d")
-    coeffs = tuple(_parse_element(tok, tower) for tok in args.additive.split(","))
+    coeffs = tuple(tower.parse_element(tok) for tok in args.additive.split(","))
     return define_curve(tower, coeffs, args.d)
-
-
-def _digit_list(tower: FieldTower, code: int) -> list[int]:
-    return list(tower.coeffs(code))
-
-
-def _norm_json(tower: FieldTower, norm) -> dict | None:
-    if norm is None:
-        return None
-    return {
-        "power_index": norm.power_index,
-        "y_scale": _digit_list(tower, norm.y_scale),
-        "x_scale": _digit_list(tower, norm.x_scale),
-        "verified": norm.verified,
-    }
-
-
-def _interval_json(cls) -> dict:
-    return {
-        "q": cls.q,
-        "genus": cls.genus,
-        "t": cls.t,
-        "upper_bound": str(cls.upper_bound),
-        "next_upper": str(cls.next_upper),
-        "attains_upper": cls.attains_upper,
-        "n": cls.n,
-        "consistent": cls.consistent,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +127,7 @@ def cmd_curve(args) -> tuple[dict, int]:
     curve = _curve_from(args, tower)
     counts: dict = {
         "rational": curve.count(2),
-        "expected_maximal": asdict(curve.maximality_report())["expected"],
+        "expected_maximal": curve.maximality_report().expected,
         "maximal": curve.is_maximal,
     }
     try:
@@ -195,7 +145,7 @@ def cmd_curve(args) -> tuple[dict, int]:
         "tower": tower.report(),
         "curve": curve.report(),
         "counts": counts,
-        "bounds": asdict(bounds_report(curve)),
+        "bounds": to_json(bounds_report(curve), tower),
     }
     return out, EXIT_OK
 
@@ -203,50 +153,9 @@ def cmd_curve(args) -> tuple[dict, int]:
 def cmd_audit(args) -> tuple[dict, int]:
     tower = build_tower(args.p, args.a, budget=args.budget)
     curve = _curve_from(args, tower)
-    info = linear_system_info(curve)
-    out = {
-        "tower": tower.report(),
-        "curve": curve.report(),
-        "linear_system": asdict(info),
-    }
-    try:
-        ram = ramification_audit(curve, sample_seed=args.sample_seed)
-        out["ramification"] = asdict(ram)
-        ram_ok = ram.all_ok
-    except ValueError as exc:
-        out["ramification"] = {"skipped": str(exc)}
-        ram_ok = True
-    census = order_census(curve)
-    out["order_census"] = asdict(census)
-    try:
-        emb = embedding_check(curve)
-        out["embedding"] = asdict(emb)
-        emb_ok = emb.ok
-    except ValueError as exc:
-        out["embedding"] = {"skipped": str(exc)}
-        emb_ok = True
-    verdict = dichotomy_check(curve)
-    out["dichotomy"] = {
-        "q": verdict.q,
-        "genus": verdict.genus,
-        "n": verdict.n,
-        "m1": verdict.m1,
-        "product": verdict.product,
-        "branch": verdict.branch,
-        "genus_identity_ok": verdict.genus_identity_ok,
-        "conjecture_flag": verdict.conjecture_flag,
-        "normalization": _norm_json(tower, verdict.normalization),
-    }
-    cls = genus_interval_classify(tower.q, curve.genus, n=info.n)
-    out["interval_classification"] = _interval_json(cls)
-    branch_ok = (verdict.branch != BRANCH_NONE
-                 and verdict.genus_identity_ok is not False
-                 and (verdict.normalization is None
-                      or verdict.normalization.verified))
-    all_ok = (ram_ok and census.ok and emb_ok and branch_ok
-              and bool(cls.consistent))
-    out["all_identities"] = all_ok
-    return out, EXIT_OK if all_ok else EXIT_IDENTITY
+    report = audit(curve, sample_seed=args.sample_seed)
+    out = {"tower": tower.report(), "curve": curve.report(), **to_json(report, tower)}
+    return out, EXIT_OK if report.all_identities else EXIT_IDENTITY
 
 
 def cmd_code(args) -> tuple[dict, int]:
@@ -268,7 +177,7 @@ def cmd_code(args) -> tuple[dict, int]:
     }
     if args.exact:
         dist = min_distance_exact(code)
-        out["distance"] = asdict(dist)
+        out["distance"] = to_json(dist, tower)
     if args.emit:
         export_matrix(code, args.emit, args.format)
     return out, EXIT_OK if code.rank_verified else EXIT_IDENTITY
@@ -277,46 +186,19 @@ def cmd_code(args) -> tuple[dict, int]:
 def cmd_conjecture(args) -> tuple[dict, int]:
     tower = build_tower(args.p, args.a, budget=args.budget)
     rep = conjecture_explore(tower, args.m1, d=args.d, budget=args.scan_budget)
-    out = {
-        "tower": tower.report(),
-        "scan": {
-            "q": rep.q,
-            "m1": rep.m1,
-            "d": rep.d,
-            "tested": rep.tested,
-            "skipped_equivalent": rep.skipped_equivalent,
-            "complete": rep.complete,
-            "budget": rep.budget,
-            "spent": rep.spent,
-            "hits": [
-                {
-                    "f_coeffs": [_digit_list(tower, c) for c in hit.f_coeffs],
-                    "genus": hit.genus,
-                    "count": hit.count,
-                    "n": hit.n,
-                    "two_g_matches": hit.two_g_matches,
-                    "n_m1_matches": hit.n_m1_matches,
-                }
-                for hit in rep.hits
-            ],
-        },
-    }
+    out = {"tower": tower.report(), "scan": to_json(rep, tower)}
     return out, EXIT_OK if rep.complete else EXIT_BUDGET
 
 
 def cmd_normalize(args) -> tuple[dict, int]:
     tower = build_tower(args.p, args.a, budget=args.budget)
-    a = _parse_element(args.fa, tower)
-    b = _parse_element(args.fb, tower)
+    a = tower.parse_element(args.fa)
+    b = tower.parse_element(args.fb)
     norm = normalize_model(tower, a, b, args.m)
     out = {
         "tower": tower.report(),
-        "input": {
-            "a": _digit_list(tower, a),
-            "b": _digit_list(tower, b),
-            "m": args.m,
-        },
-        "normalization": _norm_json(tower, norm),
+        "input": {"a": tower.digits(a), "b": tower.digits(b), "m": args.m},
+        "normalization": to_json(norm, tower),
     }
     return out, EXIT_OK if norm.verified else EXIT_IDENTITY
 

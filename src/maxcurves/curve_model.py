@@ -108,7 +108,7 @@ class CurveModel:
             y0 = solmap.get(t.pow(x, self.d))
             if y0 is None:
                 continue
-            ys = sorted((t.add(y0, kap) for kap in kernel), key=t.lex_key)
+            ys = sorted((t.add(y0, kap) for kap in kernel), key=t.coeffs)
             pts.extend(Point(x, y) for y in ys)
         pts.append(INFINITY)
         out = tuple(pts)
@@ -171,7 +171,7 @@ class CurveModel:
             "a": t.a,
             "q": t.q,
             "d": self.d,
-            "f_coeffs": [list(t.coeffs(c)) for c in self.f_coeffs],
+            "f_coeffs": [t.digits(c) for c in self.f_coeffs],
             "deg_f": self.deg_f,
             "genus": self.genus,
         }
@@ -202,18 +202,15 @@ def define_curve(tower: FieldTower, f_coeffs, d: int) -> CurveModel:
     if gcd(d, deg_f) != 1:
         raise ValueError(f"d = {d} and deg F = {deg_f} are not coprime")
     family = "additive-general"
-    if _is_trace_shape(tower, coeffs) and (tower.q + 1) % d == 0:
+    if (is_trace_shaped(tower, coeffs) and coeffs[0] == coeffs[-1] == 1
+            and (tower.q + 1) % d == 0):
         family = "hermitian-type"
     return CurveModel(tower, coeffs, d, family)
 
 
-def _is_trace_shape(tower: FieldTower, coeffs: tuple[int, ...]) -> bool:
-    """True when F is exactly T^q + T."""
-    if len(coeffs) != tower.a + 1:
-        return False
-    if coeffs[0] != 1 or coeffs[-1] != 1:
-        return False
-    return all(c == 0 for c in coeffs[1:-1])
+def is_trace_shaped(tower: FieldTower, coeffs: tuple[int, ...]) -> bool:
+    """True when F = a*T^q + b*T: degree q with no middle terms."""
+    return len(coeffs) == tower.a + 1 and not any(coeffs[1:-1])
 
 
 def hermitian_curve(tower: FieldTower, m: int) -> CurveModel:
@@ -234,8 +231,5 @@ def points_to_csv(curve: CurveModel, points, path) -> None:
             if P.is_infinity:
                 w.writerow(["inf", "inf", 1])
             else:
-                w.writerow([
-                    ":".join(str(c) for c in t.coeffs(P.x)),
-                    ":".join(str(c) for c in t.coeffs(P.y)),
-                    curve.point_level(P),
-                ])
+                w.writerow([t.format_element(P.x), t.format_element(P.y),
+                            curve.point_level(P)])

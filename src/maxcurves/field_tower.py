@@ -14,17 +14,27 @@ the ambient unit group.  For p = 2 addition is XOR of the digit
 vectors.  For odd p it uses Zech logarithms: zech[k] = log(1 + g^k),
 so g^i + g^j = g^(i + zech[j - i]), a few list lookups in place of a
 divmod per base-p digit.  The entry at k = (order - 1) / 2, where
-g^k = -1 and 1 + g^k = 0, is None.  Towers built without tables fall
-back to the digit loops, which also serve as the test oracle.
+g^k = -1 and 1 + g^k = 0, is None.  The digit loops `_add_raw` and
+`_neg_raw`, like `_mul_raw` under the tables, remain as test oracles.
+
+Reports encode an element as its residue-digit list (`digits`), CSV
+cells and command-line tokens as colon-joined residues
+(`format_element`, `parse_element`); `to_json` applies the digit form
+to every dataclass field marked with ELEMENT metadata.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+from fractions import Fraction
 
 DEFAULT_AMBIENT_BUDGET = 1 << 20
 
 LEVELS = (1, 2, 4)
+
+# dataclass field metadata: the field holds an element code, or a tuple of them
+ELEMENT = {"element": True}
 
 
 class BudgetError(RuntimeError):
@@ -179,8 +189,7 @@ class FieldTower:
     which coincides with the ambient field.
     """
 
-    def __init__(self, p: int, a: int, *, budget: int = DEFAULT_AMBIENT_BUDGET,
-                 use_tables: bool | None = None):
+    def __init__(self, p: int, a: int, *, budget: int = DEFAULT_AMBIENT_BUDGET):
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if a < 1:
@@ -200,13 +209,7 @@ class FieldTower:
         self._fmask = None
         if p == 2:
             self._fmask = sum(c << i for i, c in enumerate(self.modulus))
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self._zech: list[int | None] | None = None
-        if use_tables is None:
-            use_tables = self.order <= DEFAULT_AMBIENT_BUDGET
-        if use_tables:
-            self._build_tables()
+        self._build_tables()
         self.xi = self._find_k_generator()
         self._level_cache: dict[int, tuple[int, ...]] = {}
 
@@ -236,9 +239,7 @@ class FieldTower:
         return self.element(_poly_mod(prod, list(self.modulus), self.p))
 
     def _pow_raw(self, x: int, e: int) -> int:
-        if e < 0:
-            x = self._pow_raw(x, self.order - 2)
-            e = -e
+        """x^e for e >= 0 by square-and-multiply over `_mul_raw`."""
         r, b = 1, x
         while e:
             if e & 1:
@@ -268,7 +269,7 @@ class FieldTower:
             acc = self._mul_raw(acc, gen)
         if acc != 1:
             raise RuntimeError("generator order mismatch")
-        self._exp, self._log = exp, log
+        self._exp, self._log, self._zech = exp, log, None  # zech: odd p only
         p = self.p
         if p != 2:
             # 1 + g^k: bump the constant digit of g^k; entries are the
@@ -307,23 +308,38 @@ class FieldTower:
             out.append(r)
         return tuple(out)
 
-    def lex_key(self, x: int) -> tuple[int, ...]:
-        return self.coeffs(x)
+    def digits(self, x: int) -> list[int]:
+        """The JSON form of an element: its residue digits, constant first."""
+        return list(self.coeffs(x))
+
+    def format_element(self, x: int) -> str:
+        """The CSV form of an element: colon-joined residue digits."""
+        return ":".join(map(str, self.coeffs(x)))
+
+    def parse_element(self, token: str) -> int:
+        """Read an integer code or colon-joined residues, constant first."""
+        token = token.strip()
+        if ":" in token:
+            digits = [int(x) for x in token.split(":")]
+            if len(digits) > self.degree:
+                raise ValueError(f"element has more than {self.degree} residues")
+            return self.element(digits)
+        code = int(token)
+        if not 0 <= code < self.order:
+            raise ValueError(f"element code {code} is out of range")
+        return code
 
     # -- ring operations ---------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
         if self.p == 2:
             return x ^ y
-        zech = self._zech
-        if zech is None:
-            return self._add_raw(x, y)
         if x == 0:
             return y
         if y == 0:
             return x
         # negative indices wrap, standing in for the reduction mod n1
-        log = self._log
+        zech, log = self._zech, self._log
         lx = log[x]
         z = zech[log[y] - lx]
         if z is None:
@@ -333,22 +349,17 @@ class FieldTower:
     def neg(self, x: int) -> int:
         if self.p == 2 or x == 0:
             return x
-        if self._zech is None:
-            return self._neg_raw(x)
         exp = self._exp
         return exp[self._log[x] - len(exp) // 2]
 
     def sub(self, x: int, y: int) -> int:
         if self.p == 2:
             return x ^ y
-        zech = self._zech
-        if zech is None:
-            return self._add_raw(x, self._neg_raw(y))
         if y == 0:
             return x
         if x == 0:
             return self.neg(y)
-        log = self._log
+        zech, log = self._zech, self._log
         lx = log[x]
         n1 = len(zech)
         z = zech[(log[y] + n1 // 2 - lx) % n1]
@@ -357,7 +368,7 @@ class FieldTower:
         return self._exp[lx + z - n1]
 
     def _add_raw(self, x: int, y: int) -> int:
-        """Digit-by-digit sum for odd p, without tables."""
+        """Digit-by-digit sum for odd p, the oracle for the Zech tables."""
         p = self.p
         code, mult = 0, 1
         for _ in range(self.degree):
@@ -368,7 +379,7 @@ class FieldTower:
         return code
 
     def _neg_raw(self, x: int) -> int:
-        """Digit-by-digit negation for odd p, without tables."""
+        """Digit-by-digit negation for odd p, the oracle for the Zech tables."""
         p = self.p
         code, mult = 0, 1
         for _ in range(self.degree):
@@ -380,16 +391,12 @@ class FieldTower:
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[(self._log[x] + self._log[y]) % (self.order - 1)]
-        return self._mul_raw(x, y)
+        return self._exp[(self._log[x] + self._log[y]) % (self.order - 1)]
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._exp is not None:
-            return self._exp[(-self._log[x]) % (self.order - 1)]
-        return self._pow_raw(x, self.order - 2)
+        return self._exp[(-self._log[x]) % (self.order - 1)]
 
     def div(self, x: int, y: int) -> int:
         return self.mul(x, self.inv(y))
@@ -401,9 +408,7 @@ class FieldTower:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return 0
-        if self._exp is not None:
-            return self._exp[(self._log[x] * e) % (self.order - 1)]
-        return self._pow_raw(x, e)
+        return self._exp[(self._log[x] * e) % (self.order - 1)]
 
     # -- tower structure ----------------------------------------------------
 
@@ -426,13 +431,9 @@ class FieldTower:
         """All elements of the given level, sorted lexicographically."""
         if level in self._level_cache:
             return self._level_cache[level]
-        size = self.level_order(level)
-        if self._exp is not None:
-            step = (self.order - 1) // (size - 1)
-            elems = [0] + [self._exp[k * step] for k in range(size - 1)]
-        else:
-            elems = [x for x in range(self.order) if self.in_level(x, level)]
-        elems.sort(key=self.lex_key)
+        step = (self.order - 1) // (self.level_order(level) - 1)
+        elems = [0] + self._exp[::step]
+        elems.sort(key=self.coeffs)
         out = tuple(elems)
         self._level_cache[level] = out
         return out
@@ -475,7 +476,7 @@ class FieldTower:
             "a": self.a,
             "q": self.q,
             "modulus": list(self.modulus),
-            "xi": list(self.coeffs(self.xi)),
+            "xi": self.digits(self.xi),
         }
 
     def __repr__(self) -> str:
@@ -485,3 +486,29 @@ class FieldTower:
 def build_tower(p: int, a: int, *, budget: int = DEFAULT_AMBIENT_BUDGET) -> FieldTower:
     """Construct the deterministic tower for q = p^a."""
     return FieldTower(p, a, budget=budget)
+
+
+def to_json(obj, tower: FieldTower):
+    """JSON-ready form of a report: dataclasses become dicts, fractions
+    strings, and the values of ELEMENT fields residue-digit lists."""
+
+    def enc(obj):
+        if dataclasses.is_dataclass(obj):
+            return {f.name: (elements if f.metadata.get("element") else enc)(
+                        getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        if isinstance(obj, Fraction):
+            return str(obj)
+        if isinstance(obj, (list, tuple)):
+            return [enc(v) for v in obj]
+        if isinstance(obj, dict):
+            return {k: enc(v) for k, v in obj.items()}
+        return obj
+
+    def elements(v):
+        if v is None:
+            return None
+        if isinstance(v, int):
+            return tower.digits(v)
+        return [elements(c) for c in v]
+
+    return enc(obj)

@@ -191,7 +191,7 @@ class FuncElement:
 
         def part(terms):
             return [
-                {"i": i, "j": j, "coeff": list(t.coeffs(c))}
+                {"i": i, "j": j, "coeff": t.digits(c)}
                 for (i, j), c in sorted(terms.items())
             ]
 

@@ -38,21 +38,3 @@ def row_echelon(tower: FieldTower, rows) -> tuple[list[list[int]], list[int]]:
 def matrix_rank(tower: FieldTower, rows) -> int:
     return len(row_echelon(tower, rows)[1])
 
-
-def kernel_vector(tower: FieldTower, rows, ncols: int) -> list[int] | None:
-    """Deterministic nontrivial kernel vector of the row system, or None.
-
-    The vector sets the first free column to 1, so repeated calls on the
-    same matrix return identical witnesses.
-    """
-    red, pivots = row_echelon(tower, rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    if not free:
-        return None
-    f0 = free[0]
-    v = [0] * ncols
-    v[f0] = 1
-    for ri, pc in enumerate(pivots):
-        v[pc] = tower.neg(red[ri][f0])
-    return v

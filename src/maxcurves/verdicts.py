@@ -9,13 +9,28 @@ Conjectural identities are always reported as flags, never asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .curve_model import INFINITY, CurveModel, define_curve, hermitian_curve
-from .field_tower import FieldTower
+from .curve_model import (
+    INFINITY,
+    CurveModel,
+    define_curve,
+    hermitian_curve,
+    is_trace_shaped,
+)
+from .field_tower import ELEMENT, FieldTower
 from .function_field import rr_basis, x_of, y_of
-from .weierstrass import selmer_upper_bound, semigroup_gaps
+from .weierstrass import (
+    LinearSystemInfo,
+    OrderCensus,
+    RamificationReport,
+    linear_system_info,
+    order_census,
+    ramification_audit,
+    selmer_upper_bound,
+    semigroup_gaps,
+)
 
 
 def _system_n(curve: CurveModel) -> int:
@@ -100,8 +115,8 @@ class NormalizationResult:
     """
 
     power_index: int
-    y_scale: int
-    x_scale: int
+    y_scale: int = field(metadata=ELEMENT)
+    x_scale: int = field(metadata=ELEMENT)
     verified: bool
 
 
@@ -207,7 +222,8 @@ def dichotomy_check(instance: CurveModel | SyntheticInstance) -> DichotomyVerdic
     if prod == q + 1:
         branch = BRANCH_FULL
         identity_ok = 2 * g == (m1 - 1) * (q - 1)
-        if curve is not None and curve.d == m1 and _is_trace_shaped(curve):
+        if (curve is not None and curve.d == m1
+                and is_trace_shaped(curve.tower, curve.f_coeffs)):
             norm = normalize_model(
                 curve.tower, curve.f_coeffs[-1], curve.f_coeffs[0], curve.d)
     elif prod == q:
@@ -219,11 +235,6 @@ def dichotomy_check(instance: CurveModel | SyntheticInstance) -> DichotomyVerdic
         q=q, genus=g, n=n, m1=m1, product=prod, branch=branch,
         genus_identity_ok=identity_ok, conjecture_flag=conj, normalization=norm,
     )
-
-
-def _is_trace_shaped(curve: CurveModel) -> bool:
-    c = curve.f_coeffs
-    return len(c) == curve.tower.a + 1 and not any(c[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +401,7 @@ def embedding_check(curve: CurveModel) -> EmbeddingReport:
 
 @dataclass(frozen=True)
 class ConjectureHit:
-    f_coeffs: tuple[int, ...]
+    f_coeffs: tuple[int, ...] = field(metadata=ELEMENT)
     genus: int
     count: int
     n: int
@@ -490,4 +501,62 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
     return ConjectureReport(
         q=q, m1=m1, d=d, tested=tested, skipped_equivalent=skipped,
         hits=tuple(hits), complete=complete, budget=budget, spent=spent,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the audit: every check of the paper's chain on one curve, one verdict
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Skipped:
+    """A section that does not apply to the curve, and why."""
+
+    skipped: str
+
+
+@dataclass(frozen=True)
+class AuditReport:
+    linear_system: LinearSystemInfo
+    ramification: RamificationReport | Skipped
+    order_census: OrderCensus
+    embedding: EmbeddingReport | Skipped
+    dichotomy: DichotomyVerdict
+    interval_classification: IntervalClassification
+    all_identities: bool
+
+
+def audit(curve: CurveModel, *, sample_seed: int = 0) -> AuditReport:
+    """Run every identity check on a maximal curve and decide the verdict.
+
+    The trace-family sections (ramification, embedding) are Skipped
+    with their reason on other curves and then count as passed.  The
+    verdict also needs a dichotomy branch, no failed genus identity, a
+    verified normalization when one was attempted, and an interval
+    classification consistent with n.
+    """
+    info = linear_system_info(curve)
+    try:
+        ram = ramification_audit(curve, sample_seed=sample_seed)
+    except ValueError as exc:
+        ram = Skipped(str(exc))
+    census = order_census(curve)
+    try:
+        emb = embedding_check(curve)
+    except ValueError as exc:
+        emb = Skipped(str(exc))
+    verdict = dichotomy_check(curve)
+    cls = genus_interval_classify(curve.tower.q, curve.genus, n=info.n)
+    all_ok = (
+        (isinstance(ram, Skipped) or ram.all_ok)
+        and census.ok
+        and (isinstance(emb, Skipped) or emb.ok)
+        and verdict.branch != BRANCH_NONE
+        and verdict.genus_identity_ok is not False
+        and (verdict.normalization is None or verdict.normalization.verified)
+        and bool(cls.consistent))
+    return AuditReport(
+        linear_system=info, ramification=ram, order_census=census,
+        embedding=emb, dichotomy=verdict, interval_classification=cls,
+        all_identities=all_ok,
     )

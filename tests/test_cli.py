@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tomllib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,18 @@ def test_audit_skips_inapplicable_sections(capsys):
     assert doc["dichotomy"]["conjecture_flag"] is True
     assert doc["dichotomy"]["normalization"] is None
     assert doc["all_identities"] is True
+
+
+def test_audit_failed_identity_exits_1(capsys, monkeypatch):
+    import maxcurves.verdicts as verdicts
+    census = verdicts.order_census
+    monkeypatch.setattr(verdicts, "order_census",
+                        lambda curve: replace(census(curve), ok=False))
+    rc, doc = run_json(capsys, "audit", "--p", "3", "--a", "1",
+                       "--hermitian-m", "2")
+    assert rc == 1
+    assert doc["order_census"]["ok"] is False
+    assert doc["all_identities"] is False
 
 
 def test_audit_rejects_non_maximal_model(capsys):

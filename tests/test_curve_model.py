@@ -4,7 +4,14 @@ import csv
 
 import pytest
 
-from maxcurves import INFINITY, Point, define_curve, hermitian_curve
+from maxcurves import (
+    INFINITY,
+    Point,
+    define_curve,
+    dichotomy_check,
+    hermitian_curve,
+    is_trace_shaped,
+)
 
 
 def naive_count(curve, level):
@@ -60,6 +67,31 @@ def test_families(h32, h23, h43, h25, h35, add45, nonmax):
     assert nonmax.family == "additive-general"
 
 
+def twisted_trace(t):
+    # y -> xi*y, x -> xi*x turns T^q + T = x^2 into a*T^q + b*T = x^2, a != 1
+    g = t.inv(t.pow(t.xi, 2))
+    return (t.mul(t.xi, g), 0, t.mul(t.pow(t.xi, t.q), g))
+
+
+# over q = 9 with d = 2; coefficients run from T up to T^9
+@pytest.mark.parametrize("make,shaped,family", [
+    (lambda t: (1, 0, 1), True, "hermitian-type"),
+    (twisted_trace, True, "additive-general"),
+    (lambda t: (1, 1, 1), False, "additive-general"),
+    (lambda t: (1, 1), False, "additive-general"),
+], ids=["a=b=1", "a!=1", "middle-term", "wrong-length"])
+def test_trace_shape(t9, make, shaped, family):
+    coeffs = make(t9)
+    assert is_trace_shaped(t9, coeffs) is shaped
+    curve = define_curve(t9, coeffs, 2)
+    assert curve.family == family
+    # both trace shapes are first-branch models the dichotomy normalizes
+    if shaped:
+        verdict = dichotomy_check(curve)
+        assert verdict.branch == "nm1-equals-q-plus-1"
+        assert verdict.normalization.verified
+
+
 def test_deg_f_and_e(h23, add45, t16):
     assert (h23.deg_f, h23.e) == (3, 1)
     assert (add45.deg_f, add45.e) == (2, 1)
@@ -96,7 +128,7 @@ def test_enumeration_is_lex_ordered_with_infinity_last(h23):
     assert pts[-1] is INFINITY
     affine = pts[:-1]
     t = h23.tower
-    keys = [(t.lex_key(P.x), t.lex_key(P.y)) for P in affine]
+    keys = [(t.coeffs(P.x), t.coeffs(P.y)) for P in affine]
     assert keys == sorted(keys)
     assert len(set(affine)) == len(affine)
     assert all(h23.on_curve(P) for P in affine)

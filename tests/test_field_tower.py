@@ -2,11 +2,13 @@
 
 import itertools
 import random
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from maxcurves import BudgetError, FieldTower, build_tower
+from maxcurves import ELEMENT, BudgetError, FieldTower, build_tower, to_json
 from maxcurves.field_tower import _is_irreducible_generic, _is_irreducible_gf2
 
 
@@ -159,6 +161,44 @@ def test_element_coeffs_round_trip(t5, x):
     assert t5.element(cs) == x
 
 
+def test_element_text_forms_round_trip(t3):
+    for x in t3.elements(4):
+        assert t3.digits(x) == list(t3.coeffs(x))
+        assert t3.format_element(x) == ":".join(map(str, t3.coeffs(x)))
+        assert t3.parse_element(t3.format_element(x)) == x
+        assert t3.parse_element(f" {x} ") == x
+    assert t3.parse_element("2:1") == t3.element((2, 1))
+    for bad in ("1:2:3:4:5", "81", "-1", "x", "1::2"):
+        with pytest.raises(ValueError):
+            t3.parse_element(bad)
+
+
+@dataclass(frozen=True)
+class _Report:
+    scale: int = field(metadata=ELEMENT)
+    coeffs: tuple = field(metadata=ELEMENT)
+    missing: int | None = field(metadata=ELEMENT)
+    code: int
+    ratio: Fraction
+    inner: tuple
+
+
+def test_to_json_encodes_marked_fields(t3):
+    x = t3.xi
+    inner = _Report(0, (), None, 1, Fraction(2), ())
+    rep = _Report(scale=x, coeffs=(1, x), missing=None, code=x,
+                  ratio=Fraction(-8, 3), inner=(inner,))
+    assert to_json(rep, t3) == {
+        "scale": t3.digits(x),
+        "coeffs": [[1, 0, 0, 0], t3.digits(x)],
+        "missing": None,
+        "code": x,
+        "ratio": "-8/3",
+        "inner": [{"scale": [0, 0, 0, 0], "coeffs": [], "missing": None,
+                   "code": 1, "ratio": "2", "inner": []}],
+    }
+
+
 def test_element_reduces_residues_mod_p(t3):
     assert t3.element((4, 0, 0, 0)) == t3.element((1, 0, 0, 0)) == 1
     assert t3.element((-1, 0, 0, 0)) == t3.element((2, 0, 0, 0))
@@ -177,7 +217,7 @@ def test_elements_sorted_lexicographically(t3, t4):
     for tw in (t3, t4):
         for level in (1, 2, 4):
             els = tw.elements(level)
-            keys = [tw.lex_key(x) for x in els]
+            keys = [tw.coeffs(x) for x in els]
             assert keys == sorted(keys)
             assert els[0] == 0
 
@@ -246,17 +286,13 @@ def test_tables_agree_with_raw_multiplication(t5):
 
 
 def test_tableless_tower_matches(t5):
-    raw = FieldTower(5, 1, use_tables=False)
-    assert raw._exp is None
-    assert raw.modulus == t5.modulus
-    assert raw.xi == t5.xi
-    rng = random.Random(11)
-    for _ in range(40):
-        x, y = rng.randrange(raw.order), rng.randrange(raw.order)
-        assert raw.mul(x, y) == t5.mul(x, y)
-        if x:
-            assert raw.inv(x) == t5.inv(x)
-    assert raw.elements(2) == t5.elements(2)
+    # raw polynomial arithmetic, with no log/exp table, gives the same
+    # inverses and the same level-2 subfield as the table-driven tower
+    for x in range(1, t5.order):
+        assert t5.inv(x) == t5._pow_raw(x, t5.order - 2)
+    # level 2 is the fixed field of x -> x^(q^2)
+    fixed = [x for x in range(t5.order) if t5._pow_raw(x, t5.q2) == x]
+    assert t5.elements(2) == tuple(sorted(fixed, key=t5.coeffs))
 
 
 def assert_zech_matches_digits(tw, pairs):

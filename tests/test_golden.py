@@ -1,0 +1,98 @@
+"""The behaviour contract: byte-identical CLI output on fixed invocations.
+
+Each golden entry is the sha256 of stdout and the exit code recorded
+from the reference implementation; any change to the JSON a subcommand
+prints, down to key order and whitespace, fails here.  The scripts and
+the README examples are held to the same output.
+"""
+
+import hashlib
+import importlib.util
+import json
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from maxcurves import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+GOLDEN = [
+    ("audit --p 2 --a 1 --hermitian-m 3", 0,
+     "895547a5d030afedab202dbcdd69b7b027c668169492299d1ef78f16042abda9"),
+    ("audit --p 3 --a 1 --hermitian-m 2", 0,
+     "578b98893d80ca9064fa01f97549e53d1cf6c8b92a5720f94bd44c974505fb1e"),
+    ("audit --p 3 --a 1 --hermitian-m 4", 0,
+     "147ba5ddb1fb4c968407c7f48c5a81147f462125b06eb1dda103fd7fba663ac0"),
+    ("audit --p 5 --a 1 --hermitian-m 2", 0,
+     "79024ba5f1e46e155dab40619bf055b06407380615748ba1f41efa09ed9de79f"),
+    ("audit --p 5 --a 1 --hermitian-m 3", 0,
+     "897f2c2c6063d890a96e30348495e4129465ab5afffab82e2aacad48629e2550"),
+    ("audit --p 2 --a 2 --additive 1,1 --d 5", 0,
+     "d7dd31dfdfe63cd5bbc9a50cc731be7980a68a0c4e8bfde52d39a427b402c063"),
+    ("audit --p 7 --a 1 --hermitian-m 4 --sample-seed 3", 0,
+     "833f0818580b3ee9cb42805f076e9b33fc6fb90e23713480848226458a3ed1d7"),
+    ("conjecture --p 2 --a 2 --m1 2", 0,
+     "c7d6f439f33609666f649641b7874f3eec39f15506ffe420050161a15f75497b"),
+    ("conjecture --p 2 --a 2 --m1 2 --scan-budget 32", 3,
+     "288228ae7b891a030299f55d8cc880b9c52e549727808f042d7e4e18ebf32efb"),
+    ("conjecture --p 2 --a 3 --m1 4 --d 3", 0,
+     "220830917634c9731c62d4bef9168013f4f2a66f51c87c308067b39600603553"),
+    ("normalize --p 5 --a 1 --fa 2 --fb 3 --m 3", 0,
+     "c911ad05a3e1017bd8e5fb23281ac33bb5453cdd6a3265d3e794d2b5ec630029"),
+    ("code --p 2 --a 1 --hermitian-m 3 --lambda 3 --exact", 0,
+     "b77668fca2efa944af77fd12084d22c84ff08c71768b0e59d614a5e923352ca1"),
+    ("curve --p 3 --a 1 --hermitian-m 2", 0,
+     "e76b74876fedcf3a11b3221d6d9074f262227a33740f2bfc4f3c9bf188e37d0c"),
+    ("curve --p 3 --a 1 --additive 1,1 --d 7", 0,
+     "3ceba793b3304be76b2a3fa3b4477d0bb124b86fbfd19143a7afc680bc3f7986"),
+]
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_cli_output_is_byte_identical(capsys, argv, exit_code, digest):
+    rc = cli.main(argv.split())
+    out = capsys.readouterr().out
+    assert rc == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_explore_script_prints_the_cli_scan_block(capsys):
+    argv = ["--p", "2", "--a", "2", "--m1", "2"]
+    assert cli.main(["conjecture", *argv]) == 0
+    scan = json.loads(capsys.readouterr().out)["scan"]
+    assert scan["hits"]
+    assert load_script("explore_conjecture").main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == scan
+
+
+def test_run_audits_script_is_clean(capsys):
+    assert load_script("run_audits").main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7
+    assert lines[-1] == "6/6 instances clean"
+
+
+def readme_commands():
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\n+```\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("maxcurves ")]
+
+
+def test_readme_commands_succeed(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 6
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+        json.loads(capsys.readouterr().out)

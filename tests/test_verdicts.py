@@ -1,4 +1,7 @@
-"""Bounds, the nm1 dichotomy, model normalization, and the grid scans."""
+"""Bounds, the nm1 dichotomy, model normalization, the grid scans, and
+the audit that joins the checks into one verdict."""
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +10,9 @@ from maxcurves import (
     BRANCH_CONJ,
     BRANCH_FULL,
     BRANCH_NONE,
+    Skipped,
     SyntheticInstance,
+    audit,
     bounds_report,
     castelnuovo_bound,
     conjecture_explore,
@@ -255,6 +260,53 @@ def test_embedding_preconditions(add45, nonmax):
         embedding_check(add45)  # n * d = 10 != q + 1
     with pytest.raises(ValueError):
         embedding_check(nonmax)  # not the trace family
+
+
+# ---------------------------------------------------------------------------
+# the audit verdict
+# ---------------------------------------------------------------------------
+
+def test_audit_sections_and_verdict(h23, add45):
+    rep = audit(h23)
+    assert rep.all_identities
+    assert rep.ramification.all_ok and rep.embedding.ok
+    assert rep.dichotomy.normalization.verified
+    assert rep.interval_classification.n == rep.linear_system.n
+    rep = audit(add45)
+    assert rep.all_identities
+    assert rep.ramification == Skipped(
+        "the ramification audit supports the trace family only")
+    assert rep.embedding == Skipped(
+        "the embedding check supports the trace family only")
+    with pytest.raises(ValueError):
+        audit(define_curve(h23.tower, (1, 1), 7))  # not maximal
+
+
+def _spoil(fn, **changes):
+    return lambda *args, **kwargs: replace(fn(*args, **kwargs), **changes)
+
+
+def _spoil_normalization(fn):
+    def spoiled(curve):
+        v = fn(curve)
+        return replace(v, normalization=replace(v.normalization, verified=False))
+    return spoiled
+
+
+@pytest.mark.parametrize("name,spoil", [
+    ("ramification_audit", lambda fn: _spoil(fn, all_ok=False)),
+    ("order_census", lambda fn: _spoil(fn, ok=False)),
+    ("embedding_check", lambda fn: _spoil(fn, ok=False)),
+    ("dichotomy_check", lambda fn: _spoil(fn, branch=BRANCH_NONE)),
+    ("dichotomy_check", lambda fn: _spoil(fn, genus_identity_ok=False)),
+    ("dichotomy_check", _spoil_normalization),
+    ("genus_interval_classify", lambda fn: _spoil(fn, consistent=False)),
+], ids=["ramification", "census", "embedding", "branch", "genus-identity",
+        "normalization", "interval"])
+def test_audit_verdict_needs_every_check(h23, monkeypatch, name, spoil):
+    import maxcurves.verdicts as verdicts
+    monkeypatch.setattr(verdicts, name, spoil(getattr(verdicts, name)))
+    assert audit(h23).all_identities is False
 
 
 # ---------------------------------------------------------------------------
