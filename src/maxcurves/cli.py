@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     _tower_flags(au)
     _curve_flags(au)
     au.add_argument("--sample-seed", type=int, default=0,
-                    help="seed for sampled non-rational spot checks")
+                    help="accepted and ignored: the audit checks every point")
     au.set_defaults(func=cmd_audit)
 
     co = sub.add_parser("code", help="build an evaluation code")
@@ -153,7 +153,7 @@ def cmd_curve(args) -> tuple[dict, int]:
 def cmd_audit(args) -> tuple[dict, int]:
     tower = build_tower(args.p, args.a, budget=args.budget)
     curve = _curve_from(args, tower)
-    report = audit(curve, sample_seed=args.sample_seed)
+    report = audit(curve)
     out = {"tower": tower.report(), "curve": curve.report(), **to_json(report, tower)}
     return out, EXIT_OK if report.all_identities else EXIT_IDENTITY
 

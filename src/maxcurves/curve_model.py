@@ -56,9 +56,6 @@ class CurveModel:
         self._fibers: dict[int, tuple[dict[int, int], tuple[int, ...]]] = {}
         self._points: dict[int, tuple[Point, ...]] = {}
         self._maximal: bool | None = None
-        # y-series memo of function_field, keyed on the point; holds the
-        # longest series computed there, shorter requests take a prefix
-        self._series_cache: dict[Point, list[int]] = {}
 
     # -- defining polynomial -------------------------------------------------
 

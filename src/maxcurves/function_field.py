@@ -101,18 +101,6 @@ class FuncElement:
         self.num = num
         self.den = den  # None encodes the constant 1
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_terms(curve: CurveModel, terms, den_terms=None) -> "FuncElement":
-        num = _reduce(curve, dict(terms))
-        den = None
-        if den_terms is not None:
-            den = _reduce(curve, dict(den_terms))
-            if not den:
-                raise ZeroDivisionError("zero denominator")
-        return FuncElement(curve, num, den)
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -203,7 +191,13 @@ class FuncElement:
 
 def normal_form(curve: CurveModel, terms, den_terms=None) -> FuncElement:
     """Reduce a raw {(i, j): coeff} expression to canonical form."""
-    return FuncElement.from_terms(curve, terms, den_terms)
+    num = _reduce(curve, dict(terms))
+    den = None
+    if den_terms is not None:
+        den = _reduce(curve, dict(den_terms))
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+    return FuncElement(curve, num, den)
 
 
 def x_of(curve: CurveModel) -> FuncElement:
@@ -324,10 +318,7 @@ def _ser_inv(t, s, n):
 
 
 def _y_series(curve: CurveModel, P: Point, n: int) -> list[int]:
-    """Expansion of y in t = x - x(P), cached per point on the curve."""
-    cached = curve._series_cache.get(P)
-    if cached is not None and len(cached) >= n:
-        return cached[:n]
+    """Expansion of y in t = x - x(P) to n terms."""
     t = curve.tower
     h = _ser_pow(t, [P.x, 1], curve.d, n)
     h[0] = 0  # drop the constant x(P)^d
@@ -349,28 +340,35 @@ def _y_series(curve: CurveModel, P: Point, n: int) -> list[int]:
     else:
         raise PrecisionError("fixed-point recursion did not stabilize")
     u[0] = P.y
-    curve._series_cache[P] = u
-    return list(u)
+    return u
+
+
+def monomial_series(curve: CurveModel, P: Point, monos, prec: int) -> list[list[int]]:
+    """Expansions of the monomials x^i y^j to prec terms at an affine point.
+
+    The y series is developed once; each row is one entry of a table of
+    x powers times one of a table of y powers.
+    """
+    t = curve.tower
+    one = [1] + [0] * (prec - 1)
+    xs = ([P.x, 1] + [0] * prec)[:prec]
+    ys = _y_series(curve, P, prec)
+    xpow, ypow = [one], [one]
+    for i, j in monos:
+        while len(xpow) <= i:
+            xpow.append(_ser_mul(t, xs, xpow[-1], prec))
+        while len(ypow) <= j:
+            ypow.append(_ser_mul(t, ypow[-1], ys, prec))
+    return [_ser_mul(t, xpow[i], ypow[j], prec) for i, j in monos]
 
 
 def _expand_terms(curve: CurveModel, terms, P: Point, prec: int) -> list[int]:
     t = curve.tower
-    one = [1] + [0] * (prec - 1)
-    xs = [P.x, 1][:prec]
-    xs = xs + [0] * (prec - len(xs))
-    ys = _y_series(curve, P, prec)
-    xpow = {0: one, 1: xs}
-    ypow = {0: one, 1: ys}
+    monos = sorted(terms)
     out = [0] * prec
-    for (i, j), c in sorted(terms.items()):
-        for k in range(1, i + 1):
-            if k not in xpow:
-                xpow[k] = _ser_mul(t, xs, xpow[k - 1], prec)
-        for k in range(1, j + 1):
-            if k not in ypow:
-                ypow[k] = _ser_mul(t, ypow[k - 1], ys, prec)
-        prod = _ser_mul(t, xpow[i], ypow[j], prec)
-        out = [t.add(o, t.mul(c, v)) for o, v in zip(out, prod)]
+    for ij, row in zip(monos, monomial_series(curve, P, monos, prec)):
+        c = terms[ij]
+        out = [t.add(o, t.mul(c, v)) for o, v in zip(out, row)]
     return out
 
 
@@ -500,7 +498,7 @@ def solve_section(curve: CurveModel, lam: int, constraints) -> SectionWitness | 
     monos = basis.monomials
     rows = []
     for P, o in cons:
-        cols = [_expand_terms(curve, {ij: 1}, P, o) for ij in monos]
+        cols = monomial_series(curve, P, monos, o)
         for c in range(o):
             rows.append([col[c] for col in cols])
     tower = curve.tower

@@ -27,6 +27,7 @@ from .weierstrass import (
     RamificationReport,
     linear_system_info,
     order_census,
+    order_sequences,
     ramification_audit,
     selmer_upper_bound,
     semigroup_gaps,
@@ -526,9 +527,10 @@ class AuditReport:
     all_identities: bool
 
 
-def audit(curve: CurveModel, *, sample_seed: int = 0) -> AuditReport:
+def audit(curve: CurveModel) -> AuditReport:
     """Run every identity check on a maximal curve and decide the verdict.
 
+    Both the ramification audit and the census read one order_sequences map.
     The trace-family sections (ramification, embedding) are Skipped
     with their reason on other curves and then count as passed.  The
     verdict also needs a dichotomy branch, no failed genus identity, a
@@ -536,11 +538,12 @@ def audit(curve: CurveModel, *, sample_seed: int = 0) -> AuditReport:
     classification consistent with n.
     """
     info = linear_system_info(curve)
+    orders = order_sequences(curve)
     try:
-        ram = ramification_audit(curve, sample_seed=sample_seed)
+        ram = ramification_audit(curve, orders)
     except ValueError as exc:
         ram = Skipped(str(exc))
-    census = order_census(curve)
+    census = order_census(curve, orders)
     try:
         emb = embedding_check(curve)
     except ValueError as exc:

@@ -3,7 +3,9 @@
 Order sequences are read off as the pivot columns of the row echelon
 form of the basis-expansion matrix at a point: the pivot columns are
 exactly the t-adic valuations attained by the linear system there.
-The audit cross-checks the divisor degrees of the system cut by
+The ramification audit and the order census both read one map,
+`order_sequences`, from every point over F_{q^4} to its sequence; the
+audit cross-checks the divisor degrees of the system cut by
 L((q+1) * P_infinity) against per-point weights over the full point
 set of a maximal trace-family curve.
 """
@@ -11,16 +13,11 @@ set of a maximal trace-family curve.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from .curve_model import INFINITY, CurveModel, Point
 from .field_tower import PrecisionError
-from .function_field import (
-    basis_functions,
-    local_expansion,
-    rr_basis,
-)
+from .function_field import monomial_series, rr_basis
 from .linalg import row_echelon
 
 
@@ -186,13 +183,19 @@ def order_sequence(curve: CurveModel, P: Point) -> OrderSequence:
     if P.is_infinity:
         orders = tuple(sorted(q + 1 - w for w in basis.pole_orders))
         return OrderSequence(P, orders, _point_type(curve, P))
-    funcs = basis_functions(curve, q + 1)
-    rows = [list(local_expansion(P, f, q + 2).coeffs) for f in funcs]
+    if not curve.on_curve(P):
+        raise ValueError("point is not on the curve")
+    rows = monomial_series(curve, P, basis.monomials, q + 2)
     _, pivots = row_echelon(curve.tower, rows)
     if len(pivots) != basis.dimension:
         raise PrecisionError(
             f"order sequence unresolved at precision {q + 2}")
     return OrderSequence(P, tuple(pivots), _point_type(curve, P))
+
+
+def order_sequences(curve: CurveModel) -> dict[Point, tuple[int, ...]]:
+    """The order sequence of every point over F_{q^4}, infinity included."""
+    return {P: order_sequence(curve, P).orders for P in curve.enumerate_points(4)}
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +241,8 @@ class RamificationReport:
 
     Points with x = 0 together with the infinite place form the ramified
     locus of the degree-d covering; every identity below ties their
-    order-sequence weights to the global divisor degrees.
+    order-sequence weights to the global divisor degrees.  Every
+    non-rational point over F_{q^4} is checked (nonrational_checked).
     """
 
     ramified_count: int
@@ -252,13 +256,13 @@ class RamificationReport:
     frobenius_sum_ok: bool
     nonrational_generic_ok: bool
     nonrational_checked: int
-    nonrational_sampled: bool
     fiber_census_ok: bool
     all_ok: bool
 
 
-def ramification_audit(curve: CurveModel, *, sample_seed: int = 0,
-                       sample_size: int = 40) -> RamificationReport:
+def ramification_audit(curve: CurveModel,
+                       orders: dict[Point, tuple[int, ...]]) -> RamificationReport:
+    """Audit the identities at every point, reading `order_sequences(curve)`."""
     info = linear_system_info(curve)
     if curve.family != "hermitian-type":
         raise ValueError("the ramification audit supports the trace family only")
@@ -286,7 +290,7 @@ def ramification_audit(curve: CurveModel, *, sample_seed: int = 0,
 
     eps = info.epsilon_orders
     nus = info.frobenius_orders
-    expected_ram = order_sequence(curve, INFINITY).orders
+    expected_ram = orders[INFINITY]
     expected_unram = tuple(range(n + 1)) + (q + 1,)
     expected_generic = tuple(range(n + 1)) + (q,)
 
@@ -294,25 +298,19 @@ def ramification_audit(curve: CurveModel, *, sample_seed: int = 0,
     unram_ok = True
     frob_sum = 0
     for P in rational:
-        seq = order_sequence(curve, P)
-        jw = sum(a - b for a, b in zip(seq.orders, eps))
-        frob_sum += sum(seq.orders[i + 1] - nus[i] for i in range(n + 1))
+        seq = orders[P]
+        jw = sum(a - b for a, b in zip(seq, eps))
+        frob_sum += sum(seq[i + 1] - nus[i] for i in range(n + 1))
         if P in ramified:
-            if seq.orders != expected_ram or jw != w1:
+            if seq != expected_ram or jw != w1:
                 ram_ok = False
         else:
-            if seq.orders != expected_unram or jw != w2:
+            if seq != expected_unram or jw != w2:
                 unram_ok = False
     frob_ok = frob_sum == info.frobenius_divisor_degree
 
-    nonrational = [P for P in curve.enumerate_points(4)
-                   if not curve.is_rational(P)]
-    sampled = q > 5
-    if sampled:
-        rng = random.Random(sample_seed)
-        nonrational = rng.sample(nonrational, min(sample_size, len(nonrational)))
-    generic_ok = all(order_sequence(curve, P).orders == expected_generic
-                     for P in nonrational)
+    nonrational = [seq for P, seq in orders.items() if not curve.is_rational(P)]
+    generic_ok = all(seq == expected_generic for seq in nonrational)
 
     census_ok = _fiber_census(curve)
 
@@ -330,7 +328,6 @@ def ramification_audit(curve: CurveModel, *, sample_seed: int = 0,
         frobenius_sum_ok=frob_ok,
         nonrational_generic_ok=generic_ok,
         nonrational_checked=len(nonrational),
-        nonrational_sampled=sampled,
         fiber_census_ok=census_ok,
         all_ok=all_ok,
     )
@@ -348,35 +345,34 @@ class OrderCensus:
     ok: bool
 
 
-def order_census(curve: CurveModel) -> OrderCensus:
+def order_census(curve: CurveModel,
+                 orders: dict[Point, tuple[int, ...]]) -> OrderCensus:
     """Check j_1 = 1 everywhere and the rational/non-rational top split.
 
     The top order is q+1 exactly at rational points and q elsewhere, so
     the Weierstrass locus of the system is the set of rational points.
+    Every point of `order_sequences(curve)` is checked.
     """
     q = curve.tower.q
     n = rr_basis(curve, q + 1).dimension - 2
     generic = tuple(range(n + 1)) + (q,)
-    total = 0
     j1_ok = True
     rat_top = True
     nonrat_top = True
     wp_match = True
-    for P in curve.enumerate_points(4):
-        seq = order_sequence(curve, P)
-        total += 1
-        if seq.orders[1] != 1:
+    for P, seq in orders.items():
+        if seq[1] != 1:
             j1_ok = False
         rational = curve.is_rational(P)
-        if rational and seq.orders[-1] != q + 1:
+        if rational and seq[-1] != q + 1:
             rat_top = False
-        if not rational and seq.orders[-1] != q:
+        if not rational and seq[-1] != q:
             nonrat_top = False
-        if (seq.orders != generic) != rational:
+        if (seq != generic) != rational:
             wp_match = False
     ok = j1_ok and rat_top and nonrat_top and wp_match
     return OrderCensus(
-        points=total,
+        points=len(orders),
         j1_all_one=j1_ok,
         rational_top_ok=rat_top,
         nonrational_top_ok=nonrat_top,

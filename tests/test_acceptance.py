@@ -21,6 +21,7 @@ from maxcurves import (
     min_distance_exact,
     order_census,
     order_sequence,
+    order_sequences,
     pair_genus,
     ramification_audit,
     rr_basis,
@@ -67,7 +68,7 @@ def test_03_divisor_degrees(h23, h35):
         return sum(b - a for a, b in zip(nus, orders[1:]))
 
     i35 = linear_system_info(h35)
-    a35 = ramification_audit(h35)
+    a35 = ramification_audit(h35, order_sequences(h35))
     unram35 = next(P for P in h35.enumerate_points(2)
                    if not P.is_infinity and P.x != 0)
     ok = (a35.ramified_count == 6 and a35.unramified_rational_count == 60
@@ -79,7 +80,7 @@ def test_03_divisor_degrees(h23, h35):
           and a35.frobenius_sum_ok and a35.weight_sum_ok)
 
     i23 = linear_system_info(h23)
-    a23 = ramification_audit(h23)
+    a23 = ramification_audit(h23, order_sequences(h23))
     ok = (ok and a23.ramified_count == 4 and a23.unramified_rational_count == 12
           and a23.weight_ramified == 1 and a23.weight_unramified == 1
           and i23.ramification_degree == 16 == 4 * 1 + 12 * 1
@@ -91,8 +92,8 @@ def test_03_divisor_degrees(h23, h35):
 
 
 def test_04_order_census(h23, h35):
-    c23 = order_census(h23)
-    c35 = order_census(h35)
+    c23 = order_census(h23, order_sequences(h23))
+    c35 = order_census(h35, order_sequences(h35))
     ok = (c23.points == 64 and c35.points == 426
           and all(c.j1_all_one and c.rational_top_ok and c.nonrational_top_ok
                   and c.weierstrass_equals_rational and c.ok

@@ -113,7 +113,7 @@ def test_audit_failed_identity_exits_1(capsys, monkeypatch):
     import maxcurves.verdicts as verdicts
     census = verdicts.order_census
     monkeypatch.setattr(verdicts, "order_census",
-                        lambda curve: replace(census(curve), ok=False))
+                        lambda curve, orders: replace(census(curve, orders), ok=False))
     rc, doc = run_json(capsys, "audit", "--p", "3", "--a", "1",
                        "--hermitian-m", "2")
     assert rc == 1

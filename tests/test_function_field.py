@@ -19,6 +19,7 @@ from maxcurves import (
     x_of,
     y_of,
 )
+from maxcurves.function_field import monomial_series
 
 
 def defining_residual(curve):
@@ -184,6 +185,31 @@ def test_series_satisfies_curve_equation(h23, h35):
         rhs = [0] * prec
         rhs[curve.d] = 1  # the x-side is exactly t^d at the origin
         assert lhs == rhs
+
+
+def test_monomial_series_matches_naive_products(h23, h35):
+    # every row x^i y^j is the product of i copies of the x row and j of
+    # the y row, which test_series_satisfies_curve_equation checks
+    for curve in (h23, h35):
+        t = curve.tower
+        q = t.q
+        monos = rr_basis(curve, q + 1).monomials
+        level4 = [P for P in curve.enumerate_points(4) if not curve.is_rational(P)]
+        points = [P for P in curve.enumerate_points(2) if not P.is_infinity] + level4[:4]
+        for P in points:
+            for prec in (1, 2, q + 2):
+                rows = dict(zip(monos, monomial_series(curve, P, monos, prec)))
+                one = [1] + [0] * (prec - 1)
+                xs = ([P.x, 1] + [0] * prec)[:prec]
+                ys = rows[(0, 1)]
+                assert ys[0] == P.y
+                for (i, j), row in rows.items():
+                    want = one
+                    for _ in range(i):
+                        want = naive_series_mul(t, want, xs)
+                    for _ in range(j):
+                        want = naive_series_mul(t, want, ys)
+                    assert row == want, (P, prec, i, j)
 
 
 def test_series_constant_term_is_the_value(h23):

@@ -23,17 +23,17 @@ GOLDEN = [
     ("audit --p 2 --a 1 --hermitian-m 3", 0,
      "895547a5d030afedab202dbcdd69b7b027c668169492299d1ef78f16042abda9"),
     ("audit --p 3 --a 1 --hermitian-m 2", 0,
-     "578b98893d80ca9064fa01f97549e53d1cf6c8b92a5720f94bd44c974505fb1e"),
+     "9650879178ff51bb265917a6f5b617565a6230b87863d4306fb8a060ac135962"),
     ("audit --p 3 --a 1 --hermitian-m 4", 0,
      "147ba5ddb1fb4c968407c7f48c5a81147f462125b06eb1dda103fd7fba663ac0"),
     ("audit --p 5 --a 1 --hermitian-m 2", 0,
-     "79024ba5f1e46e155dab40619bf055b06407380615748ba1f41efa09ed9de79f"),
+     "bef0296bd4c27360f64391a245aeb1c3258460eaa615f14908aebdc6c03c2cfb"),
     ("audit --p 5 --a 1 --hermitian-m 3", 0,
-     "897f2c2c6063d890a96e30348495e4129465ab5afffab82e2aacad48629e2550"),
+     "55c4baa0f0babd4208842af2c2175e09ffeaa1b4c867a704fc6d9b174b28177f"),
     ("audit --p 2 --a 2 --additive 1,1 --d 5", 0,
      "d7dd31dfdfe63cd5bbc9a50cc731be7980a68a0c4e8bfde52d39a427b402c063"),
     ("audit --p 7 --a 1 --hermitian-m 4 --sample-seed 3", 0,
-     "833f0818580b3ee9cb42805f076e9b33fc6fb90e23713480848226458a3ed1d7"),
+     "8d87bd3b5d5998f8e861e69a3c4e701596351f4a9bab7b56802ef6522e56e018"),
     ("conjecture --p 2 --a 2 --m1 2", 0,
      "c7d6f439f33609666f649641b7874f3eec39f15506ffe420050161a15f75497b"),
     ("conjecture --p 2 --a 2 --m1 2 --scan-budget 32", 3,

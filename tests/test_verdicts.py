@@ -309,6 +309,22 @@ def test_audit_verdict_needs_every_check(h23, monkeypatch, name, spoil):
     assert audit(h23).all_identities is False
 
 
+def test_audit_computes_each_order_sequence_once(h35, monkeypatch):
+    import maxcurves.weierstrass as weierstrass
+    seen = []
+    sequence = weierstrass.order_sequence
+
+    def counted(curve, P):
+        seen.append(P)
+        return sequence(curve, P)
+
+    monkeypatch.setattr(weierstrass, "order_sequence", counted)
+    rep = audit(h35)
+    assert rep.all_identities
+    assert len(seen) == len(set(seen)) == h35.count(4) == 426
+    assert rep.ramification.nonrational_checked == 426 - 66
+
+
 # ---------------------------------------------------------------------------
 # the second-branch grid scan
 # ---------------------------------------------------------------------------

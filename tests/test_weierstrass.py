@@ -11,6 +11,7 @@ from maxcurves import (
     RAMIFIED,
     UNRAMIFIED,
     NumericalSemigroup,
+    Point,
     PrecisionError,
     basis_functions,
     default_precision,
@@ -20,6 +21,7 @@ from maxcurves import (
     nongaps_at_infinity,
     order_census,
     order_sequence,
+    order_sequences,
     pair_genus,
     ramification_audit,
     selmer_upper_bound,
@@ -221,6 +223,13 @@ def test_rank_shortfall_raises_precision_error(h23, monkeypatch):
         order_sequence(h23, P)
 
 
+def test_order_sequence_rejects_off_curve_point(h23):
+    P = Point(1, 1)
+    assert not h23.on_curve(P)
+    with pytest.raises(ValueError):
+        order_sequence(h23, P)
+
+
 def test_achievable_valuations_lie_in_order_set(h23):
     # random sections only ever vanish to an order in the computed sequence
     q = h23.tower.q
@@ -283,7 +292,7 @@ def test_linear_system_requires_maximality(nonmax):
 # ---------------------------------------------------------------------------
 
 def test_ramification_audit_h35(h35):
-    rep = ramification_audit(h35)
+    rep = ramification_audit(h35, order_sequences(h35))
     assert rep.ramified_count == 6
     assert rep.unramified_rational_count == 60
     assert (rep.weight_ramified, rep.weight_unramified) == (2, 1)
@@ -292,38 +301,36 @@ def test_ramification_audit_h35(h35):
     assert rep.ramified_orders_ok and rep.unramified_orders_ok
     assert rep.frobenius_sum_ok
     assert rep.nonrational_generic_ok
-    assert not rep.nonrational_sampled
     assert rep.nonrational_checked == 426 - 66
     assert rep.fiber_census_ok
     assert rep.all_ok
 
 
 def test_ramification_audit_h23_h25(h23, h25):
-    rep = ramification_audit(h23)
+    rep = ramification_audit(h23, order_sequences(h23))
     assert rep.ramified_count == 4
     assert rep.unramified_rational_count == 12
     assert (rep.weight_ramified, rep.weight_unramified) == (1, 1)
     assert rep.all_ok
-    rep = ramification_audit(h25)
+    rep = ramification_audit(h25, order_sequences(h25))
     assert rep.ramified_count == 6
     assert rep.unramified_rational_count == 40
     assert (rep.weight_ramified, rep.weight_unramified) == (2, 1)
     assert rep.all_ok
 
 
-def test_ramification_audit_samples_large_q(t7):
+def test_ramification_audit_checks_every_nonrational_point(t7):
     curve = hermitian_curve(t7, 2)
-    rep = ramification_audit(curve, sample_size=25)
-    assert rep.nonrational_sampled
-    assert rep.nonrational_checked == 25
+    rep = ramification_audit(curve, order_sequences(curve))
+    assert rep.nonrational_checked == curve.count(4) - curve.count(2)
     assert rep.all_ok
 
 
 def test_ramification_audit_preconditions(add45, h43):
     with pytest.raises(ValueError):
-        ramification_audit(add45)  # not the trace family
+        ramification_audit(add45, order_sequences(add45))  # not the trace family
     with pytest.raises(ValueError):
-        ramification_audit(h43)  # n = 1 leaves no unramified weight split
+        ramification_audit(h43, order_sequences(h43))  # n = 1 leaves no unramified weight split
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +338,7 @@ def test_ramification_audit_preconditions(add45, h43):
 # ---------------------------------------------------------------------------
 
 def test_order_census_h23(h23):
-    c = order_census(h23)
+    c = order_census(h23, order_sequences(h23))
     assert c.points == 64
     assert c.j1_all_one
     assert c.rational_top_ok and c.nonrational_top_ok
