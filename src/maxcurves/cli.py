@@ -129,16 +129,12 @@ def cmd_curve(args) -> tuple[dict, int]:
         "rational": curve.count(2),
         "expected_maximal": curve.maximality_report().expected,
         "maximal": curve.is_maximal,
+        "quartic": curve.count(4),
     }
-    try:
-        counts["quartic"] = curve.count(4)
-    except BudgetError:
-        counts["quartic"] = None
     if curve.is_maximal:
         counts["quartic_predicted"] = curve.predicted_count(2)
-        if counts["quartic"] is not None:
-            counts["quartic_matches_prediction"] = \
-                counts["quartic"] == counts["quartic_predicted"]
+        counts["quartic_matches_prediction"] = \
+            counts["quartic"] == counts["quartic_predicted"]
     if args.emit:
         points_to_csv(curve, curve.enumerate_points(args.level), args.emit)
     out = {

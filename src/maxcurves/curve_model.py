@@ -1,7 +1,11 @@
 """Plane models F(y) = x^d over k = F_{q^2} with F additive.
 
 F(T) = sum a_i T^(p^i) is F_p-linear with a_0 != 0, so every affine
-fiber of x is smooth and is a coset of ker F.  The family tagged
+fiber of x is smooth and is a coset of ker F.  One fiber table per
+level holds a preimage of each value of F and the kernel; point
+counts come from it alone, 1 + |ker F| * #{x : x^d is a value of F},
+and build no points.  `enumerate_points` lists the cosets for the
+callers that need the points themselves.  The family tagged
 "hermitian-type" is y^q + y = x^m with m dividing q + 1; m = q + 1
 gives the Hermitian curve itself.
 """
@@ -12,7 +16,7 @@ import csv
 from dataclasses import dataclass
 from math import gcd
 
-from .field_tower import BudgetError, FieldTower
+from .field_tower import FieldTower
 
 
 @dataclass(frozen=True)
@@ -77,35 +81,48 @@ class CurveModel:
     # -- point enumeration -----------------------------------------------------
 
     def _fiber_table(self, level: int):
+        """(solmap, kernel) of F on the level: one preimage per value, ker F.
+
+        F is F_p-linear, so the walk over the F_p-span of a basis of the
+        level carries y and F(y) together at one add each.  The basis is
+        the digit basis p^i at level 4 and 1, xi, ..., xi^(2a-1) at level
+        2, independent because xi generates F_{q^2}*.
+        """
         if level not in self._fibers:
+            if level not in (2, 4):
+                raise ValueError("points are enumerated over levels 2 and 4")
             t = self.tower
-            solmap: dict[int, int] = {}
-            kernel = []
-            for y in t.elements(level):
-                z = self.f_eval(y)
-                if z not in solmap:
-                    solmap[z] = y
-                if z == 0:
-                    kernel.append(y)
-            self._fibers[level] = (solmap, tuple(kernel))
+            if level == 4:
+                basis = [t.p ** i for i in range(t.degree)]
+            else:
+                basis = [t.pow(t.xi, i) for i in range(2 * t.a)]
+            add = t.add
+            ys, zs = [0], [0]
+            for b in basis:
+                fb = self.f_eval(b)
+                span_y, span_z = ys, zs
+                for _ in range(t.p - 1):
+                    span_y = [add(y, b) for y in span_y]
+                    span_z = [add(z, fb) for z in span_z]
+                    ys.extend(span_y)
+                    zs.extend(span_z)
+            solmap = dict(zip(zs, ys))
+            kernel = tuple(y for y, z in zip(ys, zs) if z == 0)
+            self._fibers[level] = (solmap, kernel)
         return self._fibers[level]
 
     def enumerate_points(self, level: int) -> tuple[Point, ...]:
         """All points over the given level, x then y in lex order, infinity last."""
-        if level not in (2, 4):
-            raise ValueError("points are enumerated over levels 2 and 4")
         if level in self._points:
             return self._points[level]
         t = self.tower
-        if t.level_order(level) > t.budget:
-            raise BudgetError(f"level {level} enumeration exceeds budget")
         solmap, kernel = self._fiber_table(level)
         pts: list[Point] = []
         for x in t.elements(level):
             y0 = solmap.get(t.pow(x, self.d))
             if y0 is None:
                 continue
-            ys = sorted((t.add(y0, kap) for kap in kernel), key=t.coeffs)
+            ys = sorted((t.add(y0, kap) for kap in kernel), key=t.lex_rank)
             pts.extend(Point(x, y) for y in ys)
         pts.append(INFINITY)
         out = tuple(pts)
@@ -113,7 +130,12 @@ class CurveModel:
         return out
 
     def count(self, level: int) -> int:
-        return len(self.enumerate_points(level))
+        """Number of points over the level: 1 + |ker F| * #{x : x^d in F(level)}."""
+        t = self.tower
+        solmap, kernel = self._fiber_table(level)
+        d = self.d
+        hits = sum(1 for x in t.elements(level) if t.pow(x, d) in solmap)
+        return 1 + len(kernel) * hits
 
     # -- maximality --------------------------------------------------------------
 

@@ -17,6 +17,11 @@ divmod per base-p digit.  The entry at k = (order - 1) / 2, where
 g^k = -1 and 1 + g^k = 0, is None.  The digit loops `_add_raw` and
 `_neg_raw`, like `_mul_raw` under the tables, remain as test oracles.
 
+The one lex order on elements compares residue digits constant term
+first; `lex_rank` maps an element to its int key in that order, the
+digit reversal of its code, read from one table of q^2 entries.
+Level listings, point lists and the conjecture scan all sort by it.
+
 Reports encode an element as its residue-digit list (`digits`), CSV
 cells and command-line tokens as colon-joined residues
 (`format_element`, `parse_element`); `to_json` applies the digit form
@@ -204,13 +209,18 @@ class FieldTower:
         if self.order > budget:
             raise BudgetError(
                 f"ambient order p^(4a) = {self.order} exceeds budget {budget}")
-        self.budget = budget
         self.modulus = self._find_modulus()
         self._fmask = None
         if p == 2:
             self._fmask = sum(c << i for i, c in enumerate(self.modulus))
         self._build_tables()
         self.xi = self._find_k_generator()
+        # rev[x] for x < q^2: the 2a residue digits of x in reverse order
+        half_top = self.q2 // p
+        rev = [0] * self.q2
+        for x in range(1, self.q2):
+            rev[x] = rev[x // p] // p + (x % p) * half_top
+        self._rev = rev
         self._level_cache: dict[int, tuple[int, ...]] = {}
 
     # -- construction ------------------------------------------------------
@@ -307,6 +317,11 @@ class FieldTower:
             x, r = divmod(x, self.p)
             out.append(r)
         return tuple(out)
+
+    def lex_rank(self, x: int) -> int:
+        """Sort key of the lex order: digit reversal of x, constant digit first."""
+        q2 = self.q2
+        return self._rev[x % q2] * q2 + self._rev[x // q2]
 
     def digits(self, x: int) -> list[int]:
         """The JSON form of an element: its residue digits, constant first."""
@@ -433,7 +448,7 @@ class FieldTower:
             return self._level_cache[level]
         step = (self.order - 1) // (self.level_order(level) - 1)
         elems = [0] + self._exp[::step]
-        elems.sort(key=self.coeffs)
+        elems.sort(key=self.lex_rank)
         out = tuple(elems)
         self._level_cache[level] = out
         return out

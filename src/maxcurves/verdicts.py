@@ -135,7 +135,7 @@ def normalize_model(tower: FieldTower, a: int, b: int, m: int) -> NormalizationR
         raise ValueError("the model is not maximal; nothing to normalize")
     n = (q + 1) // m
     level1 = tower.elements(1)
-    image = {curve.f_eval(y) for y in tower.elements(2)}
+    image = curve._fiber_table(2)[0].keys()
     index = None
     for i in range(n):
         scale = tower.pow(tower.xi, i * m)
@@ -455,14 +455,14 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
     complete = True
     hits = []
 
+    # y -> c y with c a d-th power turns a_i into a_i * c^(p^i - m1)
+    rank, mul = tower.lex_rank, tower.mul
+    scale_rows = [[tower.pow(c, p ** i - m1) for i in range(e)] for c in scalers]
+
     def orbit_min(cand: tuple[int, ...]) -> bool:
-        key = tuple(tower.coeffs(v) for v in cand)
-        exps = [p ** i - m1 for i in range(e)]
-        for c in scalers:
-            other = tuple(
-                tower.mul(v, tower.pow(c, exp)) if v else 0
-                for v, exp in zip(cand, exps))
-            if tuple(tower.coeffs(v) for v in other) < key:
+        key = [rank(v) for v in cand]
+        for row in scale_rows:
+            if [rank(mul(v, s)) for v, s in zip(cand, row)] < key:
                 return False
         return True
 

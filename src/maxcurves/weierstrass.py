@@ -391,11 +391,6 @@ def _fiber_census(curve: CurveModel) -> bool:
         if x:
             v = tower.pow(x, curve.d)
             root_count[v] = root_count.get(v, 0) + 1
-    zero_fibers = 0
-    for y0 in level2:
-        v = curve.f_eval(y0)
-        if v == 0:
-            zero_fibers += 1
-        elif root_count.get(v, 0) != curve.d:
-            return False
-    return zero_fibers == q
+    solmap, kernel = curve._fiber_table(2)
+    return (len(kernel) == q
+            and all(root_count.get(v, 0) == curve.d for v in solmap if v))

@@ -119,6 +119,34 @@ def test_counts_match_value_census(h25, h35):
     assert h35.count(4) == value_census_count(h35, 4)
 
 
+@pytest.mark.parametrize("name", ["h32", "h23", "h43", "h25", "h35", "add45", "nonmax"])
+def test_fiber_table_matches_f_eval(request, name):
+    curve = request.getfixturevalue(name)
+    t = curve.tower
+    for level in (2, 4):
+        solmap, kernel = curve._fiber_table(level)
+        values = {y: curve.f_eval(y) for y in t.elements(level)}
+        assert set(solmap) == set(values.values())
+        for z, y in solmap.items():
+            assert y in values and curve.f_eval(y) == z
+        assert sorted(kernel) == sorted(y for y, z in values.items() if z == 0)
+
+
+@pytest.mark.parametrize("tower,d", [("t3", 2), ("t5", 3), ("t4", 5), ("t3", 7)],
+                         ids=["h23", "h35", "add45", "nonmax"])
+def test_count_builds_no_points_and_matches_enumeration(request, tower, d):
+    # fresh curves y^p + y = x^d, so neither cache is filled beforehand
+    t = request.getfixturevalue(tower)
+    for level in (2, 4):
+        curve = define_curve(t, (1, 1), d)
+        n = curve.count(level)
+        assert not curve._points
+        assert n == len(curve.enumerate_points(level))
+        curve = define_curve(t, (1, 1), d)
+        n = len(curve.enumerate_points(level))
+        assert curve.count(level) == n
+
+
 # ---------------------------------------------------------------------------
 # enumeration order and membership
 # ---------------------------------------------------------------------------
@@ -138,6 +166,8 @@ def test_enumeration_levels_nest(h23):
     assert set(h23.enumerate_points(2)) <= set(h23.enumerate_points(4))
     with pytest.raises(ValueError):
         h23.enumerate_points(1)
+    with pytest.raises(ValueError):
+        h23.count(1)
 
 
 def test_enumeration_is_cached(h23):

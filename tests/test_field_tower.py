@@ -222,6 +222,15 @@ def test_elements_sorted_lexicographically(t3, t4):
             assert els[0] == 0
 
 
+def test_lex_rank_orders_like_coeffs(t2, t3, t4, t5, t9):
+    # lex_rank is the fast key; coeffs tuples are the definition of the order
+    for tw in (t2, t3, t4, t5, t9):
+        els = range(tw.order)
+        ranks = [tw.lex_rank(x) for x in els]
+        assert sorted(ranks) == list(els)
+        assert sorted(els, key=tw.lex_rank) == sorted(els, key=tw.coeffs)
+
+
 def test_in_level_matches_fixed_points_of_power_map(t3):
     for x in t3.elements(4):
         assert t3.in_level(x, 2) == (t3.pow(x, 9) == x)

@@ -48,6 +48,14 @@ GOLDEN = [
      "e76b74876fedcf3a11b3221d6d9074f262227a33740f2bfc4f3c9bf188e37d0c"),
     ("curve --p 3 --a 1 --additive 1,1 --d 7", 0,
      "3ceba793b3304be76b2a3fa3b4477d0bb124b86fbfd19143a7afc680bc3f7986"),
+    ("curve --p 2 --a 4 --hermitian-m 17", 0,
+     "9615531ed3aa51e453a7d4fe062d25312d14d9835e5cf1ad9c3bedda5715d9e8"),
+    ("curve --p 3 --a 2 --hermitian-m 5", 0,
+     "808da4c27bfa6ddfcd3f48af9e4123b436094cce42725b70dc9a428976e42b7c"),
+    ("curve --p 2 --a 2 --additive 1,1 --d 5", 0,
+     "be06e1feb38d98dd61cd163042ba78ea2b089da18d444c3a1548d2db62736419"),
+    ("normalize --p 3 --a 2 --fa 2 --fb 1 --m 5", 0,
+     "15f530a8693ceb6939a79d4f8097919f40d5739d0f5cacc0d9f24a9d0817a00c"),
 ]
 
 
