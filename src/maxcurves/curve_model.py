@@ -3,11 +3,16 @@
 F(T) = sum a_i T^(p^i) is F_p-linear with a_0 != 0, so every affine
 fiber of x is smooth and is a coset of ker F.  One fiber table per
 level holds a preimage of each value of F and the kernel; point
-counts come from it alone, 1 + |ker F| * #{x : x^d is a value of F},
-and build no points.  `enumerate_points` lists the cosets for the
-callers that need the points themselves.  The family tagged
-"hermitian-type" is y^q + y = x^m with m dividing q + 1; m = q + 1
-gives the Hermitian curve itself.
+counts come from it and the log table alone and build no points.  On
+the cyclic unit group of a level of order Q, x -> x^d is g-to-1 onto
+the exp[k] with k = 0 mod s*g, where g = gcd(d, Q - 1) and
+s = (q^4 - 1)/(Q - 1), so the count is
+1 + |ker F| * (1 + g * #{z in F(level) : z != 0, log z = 0 mod s*g}),
+one pass over the values of F, memoized per level.
+`enumerate_points` lists the cosets for the callers that need the
+points themselves.  The family tagged "hermitian-type" is
+y^q + y = x^m with m dividing q + 1; m = q + 1 gives the Hermitian
+curve itself.
 """
 
 from __future__ import annotations
@@ -46,6 +51,18 @@ class MaximalityReport:
     expected: int
 
 
+def _span(tower: FieldTower, vectors) -> list[int]:
+    """The F_p-span of the vectors; entry sum(c_i p^i) is sum(c_i vectors[i])."""
+    add = tower.add
+    out = [0]
+    for b in vectors:
+        part = out
+        for _ in range(tower.p - 1):
+            part = [add(v, b) for v in part]
+            out.extend(part)
+    return out
+
+
 class CurveModel:
     """A curve F(y) = x^d over level 2 of a tower; immutable after construction."""
 
@@ -58,6 +75,7 @@ class CurveModel:
         self.deg_f = tower.p ** self.e
         self.genus = (self.deg_f - 1) * (d - 1) // 2
         self._fibers: dict[int, tuple[dict[int, int], tuple[int, ...]]] = {}
+        self._counts: dict[int, int] = {}
         self._points: dict[int, tuple[Point, ...]] = {}
         self._maximal: bool | None = None
 
@@ -83,10 +101,11 @@ class CurveModel:
     def _fiber_table(self, level: int):
         """(solmap, kernel) of F on the level: one preimage per value, ker F.
 
-        F is F_p-linear, so the walk over the F_p-span of a basis of the
-        level carries y and F(y) together at one add each.  The basis is
-        the digit basis p^i at level 4 and 1, xi, ..., xi^(2a-1) at level
-        2, independent because xi generates F_{q^2}*.
+        F is F_p-linear, so F(y) walks the F_p-span of the images of a
+        basis of the level in step with y, one add per element.  The basis
+        is 1, xi, ..., xi^(2a-1) at level 2, independent because xi
+        generates F_{q^2}*, whose span y walks the same way; at level 4 it
+        is the digit basis p^i, whose span lists the codes in order.
         """
         if level not in self._fibers:
             if level not in (2, 4):
@@ -96,16 +115,8 @@ class CurveModel:
                 basis = [t.p ** i for i in range(t.degree)]
             else:
                 basis = [t.pow(t.xi, i) for i in range(2 * t.a)]
-            add = t.add
-            ys, zs = [0], [0]
-            for b in basis:
-                fb = self.f_eval(b)
-                span_y, span_z = ys, zs
-                for _ in range(t.p - 1):
-                    span_y = [add(y, b) for y in span_y]
-                    span_z = [add(z, fb) for z in span_z]
-                    ys.extend(span_y)
-                    zs.extend(span_z)
+            zs = _span(t, [self.f_eval(b) for b in basis])
+            ys = range(t.order) if level == 4 else _span(t, basis)
             solmap = dict(zip(zs, ys))
             kernel = tuple(y for y, z in zip(ys, zs) if z == 0)
             self._fibers[level] = (solmap, kernel)
@@ -130,12 +141,21 @@ class CurveModel:
         return out
 
     def count(self, level: int) -> int:
-        """Number of points over the level: 1 + |ker F| * #{x : x^d in F(level)}."""
+        """Number of points over the level, computed once per level."""
+        if level not in self._counts:
+            self._counts[level] = self._count(level)
+        return self._counts[level]
+
+    def _count(self, level: int) -> int:
+        """The count by logs (module docstring); the inner 1 is x = 0."""
         t = self.tower
         solmap, kernel = self._fiber_table(level)
-        d = self.d
-        hits = sum(1 for x in t.elements(level) if t.pow(x, d) in solmap)
-        return 1 + len(kernel) * hits
+        Q = t.level_order(level)
+        g = gcd(self.d, Q - 1)
+        step = (t.order - 1) // (Q - 1) * g
+        log = t._log
+        powers = sum(1 for z in solmap if z and log[z] % step == 0)
+        return 1 + len(kernel) * (1 + g * powers)
 
     # -- maximality --------------------------------------------------------------
 

@@ -10,12 +10,20 @@ lexicographically first candidates, so two towers built from the same
 (p, a) are identical object for object.
 
 Multiplication goes through discrete-log tables of a generator g of
-the ambient unit group.  For p = 2 addition is XOR of the digit
-vectors.  For odd p it uses Zech logarithms: zech[k] = log(1 + g^k),
-so g^i + g^j = g^(i + zech[j - i]), a few list lookups in place of a
-divmod per base-p digit.  The entry at k = (order - 1) / 2, where
-g^k = -1 and 1 + g^k = 0, is None.  The digit loops `_add_raw` and
-`_neg_raw`, like `_mul_raw` under the tables, remain as test oracles.
+the ambient unit group.  The exp table is the orbit of 1 under the
+F_p-linear map x -> g*x, tabulated once per half of the digit vector
+from the images g*T^i (one `_mul_raw` each): g*x = lo[x % q^2] +
+hi[x // q^2].  For p = 2 the halves combine by XOR.  For odd p their
+entries hold digits in radix 2p - 1, so the sum carries nothing, and
+a table of (2p - 1)^(2a) entries maps each half of the sum back to
+digits mod p.  `_mul_raw` and `_pow_raw` remain as test oracles.
+
+For p = 2 addition is XOR of the digit vectors.  For odd p it uses
+Zech logarithms: zech[k] = log(1 + g^k), so g^i + g^j =
+g^(i + zech[j - i]), a few list lookups in place of a divmod per
+base-p digit.  The entry at k = (order - 1) / 2, where g^k = -1 and
+1 + g^k = 0, is None.  The digit loops `_add_raw` and `_neg_raw`
+remain as test oracles.
 
 The one lex order on elements compares residue digits constant term
 first; `lex_rank` maps an element to its int key in that order, the
@@ -186,6 +194,16 @@ def _is_irreducible_gf2(f: int, n: int) -> bool:
     return True
 
 
+def _linear_table(vectors, p: int, span: int, radix: int) -> list[int]:
+    """Entry sum(c_i * span^i), 0 <= c_i < span, is sum(c_i * vectors[i])
+    over F_p, its digits written in the given radix."""
+    rows = [(0,) * len(vectors[0])]
+    for vec in vectors:
+        rows = [tuple((v + c * w) % p for v, w in zip(row, vec))
+                for c in range(span) for row in rows]
+    return [sum(v * radix ** k for k, v in enumerate(row)) for row in rows]
+
+
 class FieldTower:
     """The tower F_p < F_q < F_{q^2} < F_{q^4} inside F_{p^(4a)}.
 
@@ -270,17 +288,33 @@ class FieldTower:
                 break
         if gen is None:
             raise RuntimeError("no generator of the ambient unit group")
+        # g*x = lo[x % h] + hi[x // h]; for odd p the entries hold digits in
+        # radix 2p - 1 so the sum carries nothing, and red reduces a half mod p
+        p, h, half = self.p, self.q2, 2 * self.a
+        radix = 2 if p == 2 else 2 * p - 1
+        images = [self.coeffs(self._mul_raw(p ** i, gen)) for i in range(self.degree)]
+        lo = _linear_table(images[:half], p, p, radix)
+        hi = _linear_table(images[half:], p, p, radix)
         exp = [0] * n1
         log = [0] * self.order
         acc = 1
-        for i in range(n1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._mul_raw(acc, gen)
+        if p == 2:
+            for i in range(n1):
+                exp[i] = acc
+                log[acc] = i
+                acc = lo[acc % h] ^ hi[acc // h]
+        else:
+            units = [[int(i == j) for j in range(half)] for i in range(half)]
+            red = _linear_table(units, p, radix, p)
+            rh = radix ** half
+            for i in range(n1):
+                exp[i] = acc
+                log[acc] = i
+                sh, sl = divmod(lo[acc % h] + hi[acc // h], rh)
+                acc = red[sl] + red[sh] * h
         if acc != 1:
             raise RuntimeError("generator order mismatch")
         self._exp, self._log, self._zech = exp, log, None  # zech: odd p only
-        p = self.p
         if p != 2:
             # 1 + g^k: bump the constant digit of g^k; entries are the
             # ints already held by log, so the table adds no new objects

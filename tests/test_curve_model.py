@@ -6,7 +6,10 @@ import pytest
 
 from maxcurves import (
     INFINITY,
+    CurveModel,
     Point,
+    cli,
+    conjecture_explore,
     define_curve,
     dichotomy_check,
     hermitian_curve,
@@ -145,6 +148,52 @@ def test_count_builds_no_points_and_matches_enumeration(request, tower, d):
         curve = define_curve(t, (1, 1), d)
         n = len(curve.enumerate_points(level))
         assert curve.count(level) == n
+
+
+def direct_count(curve, level):
+    """The count as a direct pass: 1 + |ker F| * #{x : x^d is a value of F}."""
+    t = curve.tower
+    solmap, kernel = curve._fiber_table(level)
+    hits = sum(1 for x in t.elements(level) if t.pow(x, curve.d) in solmap)
+    return 1 + len(kernel) * hits
+
+
+FIXTURE_CURVES = ["h32", "h23", "h43", "h25", "h35", "add45", "nonmax"]
+
+
+@pytest.mark.parametrize("name", FIXTURE_CURVES)
+def test_count_by_logs_matches_direct_pass_on_fixtures(request, name):
+    curve = request.getfixturevalue(name)
+    for level in (2, 4):
+        assert curve._count(level) == direct_count(curve, level)
+
+
+# y^p + y = x^d; gcd(d, Q - 1) < d for d = 7, 10 over q = 3 and d = 9 over q = 5
+@pytest.mark.parametrize("tower,d", [("t3", 2), ("t5", 3), ("t4", 5), ("t3", 7),
+                                     ("t3", 10), ("t5", 9)],
+                         ids=["h23", "h35", "add45", "nonmax", "q3d10", "q5d9"])
+def test_count_by_logs_matches_direct_pass(request, tower, d):
+    t = request.getfixturevalue(tower)
+    curve = define_curve(t, (1, 1), d)
+    for level in (2, 4):
+        assert curve.count(level) == direct_count(curve, level)
+
+
+def test_count_runs_once_per_level(monkeypatch, capsys, t4):
+    calls = []
+    uncached = CurveModel._count
+
+    def counting(self, level):
+        calls.append(level)
+        return uncached(self, level)
+
+    monkeypatch.setattr(CurveModel, "_count", counting)
+    assert cli.main(["curve", "--p", "2", "--a", "2", "--hermitian-m", "5"]) == 0
+    assert calls == [2, 4]
+    calls.clear()
+    rep = conjecture_explore(t4, 2)
+    assert rep.hits
+    assert calls == [2] * rep.tested
 
 
 # ---------------------------------------------------------------------------

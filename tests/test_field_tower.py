@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maxcurves import ELEMENT, BudgetError, FieldTower, build_tower, to_json
-from maxcurves.field_tower import _is_irreducible_generic, _is_irreducible_gf2
+from maxcurves import field_tower
+from maxcurves.field_tower import _is_irreducible_generic, _is_irreducible_gf2, prime_factors
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +303,59 @@ def test_tableless_tower_matches(t5):
     # level 2 is the fixed field of x -> x^(q^2)
     fixed = [x for x in range(t5.order) if t5._pow_raw(x, t5.q2) == x]
     assert t5.elements(2) == tuple(sorted(fixed, key=t5.coeffs))
+
+
+def raw_tables(tw):
+    """exp, log and zech as the tables were first built: the generator
+    search, then acc = _mul_raw(acc, gen) once per element."""
+    n1 = tw.order - 1
+    fac = prime_factors(n1)
+    gen = next(c for c in range(2, tw.order)
+               if all(tw._pow_raw(c, n1 // f) != 1 for f in fac))
+    exp, acc = [], 1
+    for _ in range(n1):
+        exp.append(acc)
+        acc = tw._mul_raw(acc, gen)
+    assert acc == 1
+    log = {e: i for i, e in enumerate(exp)}
+    zech = None
+    if tw.p != 2:
+        zech = [log.get(tw._add_raw(e, 1)) for e in exp]
+    return exp, log, zech
+
+
+@pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2),
+                                 (2, 4), (11, 1)], ids=str)
+def test_tables_match_raw_recurrence(p, a):
+    tw = build_tower(p, a)
+    exp, log, zech = raw_tables(tw)
+    assert tw._exp == exp
+    assert len(tw._log) == tw.order
+    assert all(tw._log[x] == i for x, i in log.items())
+    assert tw._zech == zech
+
+
+def test_tables_sampled_on_a_big_tower():
+    tw = build_tower(5, 2)
+    rng = random.Random(52)
+    for _ in range(20000):
+        x, y = rng.randrange(tw.order), rng.randrange(tw.order)
+        assert tw.mul(x, y) == tw._mul_raw(x, y)
+        assert tw.add(x, y) == tw._add_raw(x, y)
+
+
+@pytest.mark.parametrize("p,a", [(3, 1), (2, 2)], ids=str)
+def test_corrupt_linear_table_fails_the_order_check(monkeypatch, p, a):
+    # with every table shifted by one entry the walk from 1 is not the
+    # orbit of g and does not end at 1; the build must say so
+    def rotated(*args):
+        table = linear_table(*args)
+        return table[1:] + table[:1]
+
+    linear_table = field_tower._linear_table
+    monkeypatch.setattr(field_tower, "_linear_table", rotated)
+    with pytest.raises(RuntimeError, match="generator order mismatch"):
+        build_tower(p, a)
 
 
 def assert_zech_matches_digits(tw, pairs):

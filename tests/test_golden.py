@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from maxcurves import cli
+from maxcurves import build_tower, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,7 +56,28 @@ GOLDEN = [
      "be06e1feb38d98dd61cd163042ba78ea2b089da18d444c3a1548d2db62736419"),
     ("normalize --p 3 --a 2 --fa 2 --fb 1 --m 5", 0,
      "15f530a8693ceb6939a79d4f8097919f40d5739d0f5cacc0d9f24a9d0817a00c"),
+    ("curve --p 5 --a 2 --hermitian-m 13", 0,
+     "b9bd6d3dd95f9dc797c614b9378dda28d5a42e9224cdd48fe3d07ec38cf67a95"),
+    ("curve --p 3 --a 3 --hermitian-m 4", 0,
+     "0e346d86e847043e0307c2f48c5f10987db7165f1c97038a34807e2839721b23"),
 ]
+
+# sha256 of json.dumps(build_tower(p, a).report()): the modulus and xi of
+# every tower the suite builds, and of the three largest in the budget
+TOWER_REPORTS = {
+    (2, 1): "422cc930e37ad20862a006c22e7f00560600f9a2a9598f38466c75f8ab66725b",
+    (3, 1): "9b428f3245160ef9942f3a1901d2dd1da5931ba53b0b4a4564972167beb2d7d1",
+    (2, 2): "c2eb7e59b6b605343390ecc5f5bccd240535aa2739bd239e1f6e8a11e0381c98",
+    (5, 1): "54034b70d027e0ddb1e70356e8fdb34960b184d11e0ca73060e6d0e674e608fb",
+    (7, 1): "c87247081d62a9685415c56c122734dd72a6de5a34e8f08adb5b39120845d831",
+    (3, 2): "3fb0a68a280ee7c9efba830d45706ff979567183a29676c0e9ddf788e84a0919",
+    (2, 4): "7641c2c6c9dda23c776226ffa524c0b3434b872fe5a70660fc21eb4b1ca8d11a",
+    (2, 3): "94bf8405fce326b0d9800bd7c2daa1c92485d33372235539466209f6181df77f",
+    (11, 1): "6259606276bf9da5161229acba8ace6947091d1ff74abebb0b526d11ebc3d553",
+    (5, 2): "ca63ae3860397fbc7c735b87562a7bdd3ecf77ea439ac857d804b5d8eac36e53",
+    (3, 3): "abc07f41968bddecd136136881bd1e3e6dc80f04a2c676a5fd1da15798c1f6de",
+    (2, 5): "7a5b4bea8dc75b17d83d11ad293ca97f8bc2fd8438c4053048b3d200e93dfbf1",
+}
 
 
 def load_script(name):
@@ -72,6 +93,12 @@ def test_cli_output_is_byte_identical(capsys, argv, exit_code, digest):
     out = capsys.readouterr().out
     assert rc == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("p,a", list(TOWER_REPORTS), ids=str)
+def test_tower_report_is_unchanged(p, a):
+    report = json.dumps(build_tower(p, a).report())
+    assert hashlib.sha256(report.encode()).hexdigest() == TOWER_REPORTS[p, a]
 
 
 def test_explore_script_prints_the_cli_scan_block(capsys):
