@@ -6,7 +6,10 @@ Since gcd(d, deg F) = 1 the monomial weights i*deg F + j*d are distinct,
 so the pole order at the place at infinity is read off the support.
 Local expansions at affine points use the uniformizer t = x - x(P);
 y is developed by the additive fixed-point recursion, which gains a
-factor p of t-adic precision per pass.
+factor p of t-adic precision per pass.  A nonzero polynomial of top
+weight w has w zeros counted with multiplicity, so v_P <= w and w + 1
+terms decide its valuation; PrecisionError is raised only when w + 1
+exceeds max_precision and the series vanishes up to that cap.
 """
 
 from __future__ import annotations
@@ -86,9 +89,9 @@ def _dict_mul(curve, A, B):
     return _reduce(curve, conv)
 
 
-def _weight(curve: CurveModel, ij: tuple[int, int]) -> int:
-    i, j = ij
-    return i * curve.deg_f + j * curve.d
+def _top_weight(curve: CurveModel, terms) -> int:
+    """Pole order at infinity of a nonzero reduced polynomial."""
+    return max(i * curve.deg_f + j * curve.d for i, j in terms)
 
 
 class FuncElement:
@@ -241,9 +244,7 @@ def valuation_at_infinity(f: FuncElement) -> int:
     """
     if f.is_zero:
         raise ValueError("the zero function has no valuation")
-    num_w = max(_weight(f.curve, ij) for ij in f.num)
-    den_w = 0 if f.den is None else max(_weight(f.curve, ij) for ij in f.den)
-    return den_w - num_w
+    return _top_weight(f.curve, f._den_dict()) - _top_weight(f.curve, f.num)
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +265,7 @@ class LocalSeries:
     @property
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None if unresolved."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
+        return _first_nonzero(self.coeffs)
 
 
 def _ser_mul(t, a, b, n):
@@ -362,18 +360,30 @@ def monomial_series(curve: CurveModel, P: Point, monos, prec: int) -> list[list[
     return [_ser_mul(t, xpow[i], ypow[j], prec) for i, j in monos]
 
 
-def _expand_terms(curve: CurveModel, terms, P: Point, prec: int) -> list[int]:
+def _expand(curve: CurveModel, P: Point, parts, prec: int) -> list[list[int]]:
+    """Expansions of the polynomials in parts to prec terms, from one y development."""
     t = curve.tower
-    monos = sorted(terms)
-    out = [0] * prec
-    for ij, row in zip(monos, monomial_series(curve, P, monos, prec)):
-        c = terms[ij]
-        out = [t.add(o, t.mul(c, v)) for o, v in zip(out, row)]
+    monos = sorted(set().union(*parts))
+    rows = dict(zip(monos, monomial_series(curve, P, monos, prec)))
+    out = []
+    for terms in parts:
+        s = [0] * prec
+        for ij, c in terms.items():
+            s = [t.add(a, t.mul(c, v)) for a, v in zip(s, rows[ij])]
+        out.append(s)
     return out
 
 
+def _first_nonzero(series) -> int | None:
+    return next((i for i, c in enumerate(series) if c), None)
+
+
 def local_expansion(P: Point, f: FuncElement, prec: int | None = None) -> LocalSeries:
-    """Expand f in the uniformizer t = x - x(P) at an affine point."""
+    """Expand f in the uniformizer t = x - x(P) at an affine point.
+
+    num and den are expanded to prec + w(den) terms, w the top weight:
+    v_P(den) <= w(den), so prec terms remain past the leading zeros.
+    """
     curve = f.curve
     if P.is_infinity:
         raise ValueError("expansions use the affine uniformizer; infinity is handled by pole orders")
@@ -383,35 +393,21 @@ def local_expansion(P: Point, f: FuncElement, prec: int | None = None) -> LocalS
         prec = default_precision(curve)
     if prec < 1:
         raise ValueError("precision must be >= 1")
-    num = _expand_terms(curve, f.num, P, prec)
-    if f.den is None:
-        return LocalSeries(P, tuple(num))
-    v_den = _terms_valuation(curve, P, f.den)
-    wide_num = _expand_terms(curve, f.num, P, prec + v_den)
-    wide_den = _expand_terms(curve, f.den, P, prec + v_den)
-    if any(wide_num[:v_den]):
+    den = f._den_dict()
+    num_s, den_s = _expand(curve, P, [f.num, den], prec + _top_weight(curve, den))
+    v_den = _first_nonzero(den_s)
+    if any(num_s[:v_den]):
         raise ValueError("function has a pole at the point")
-    num_s = wide_num[v_den:]
-    den_s = wide_den[v_den:]
-    return LocalSeries(P, tuple(_ser_mul(curve.tower, num_s, _ser_inv(curve.tower, den_s, prec), prec)))
-
-
-def _terms_valuation(curve: CurveModel, P: Point, terms) -> int:
-    prec = default_precision(curve)
-    cap = max_precision(curve)
-    while True:
-        series = _expand_terms(curve, terms, P, prec)
-        for i, c in enumerate(series):
-            if c:
-                return i
-        if prec >= cap:
-            raise PrecisionError(
-                f"valuation unresolved at precision cap {cap}")
-        prec = min(2 * prec, cap)
+    t = curve.tower
+    return LocalSeries(P, tuple(_ser_mul(t, num_s[v_den:], _ser_inv(t, den_s[v_den:], prec), prec)))
 
 
 def valuation_at(P: Point, f: FuncElement) -> int:
-    """Exact valuation of f at any enumerated place, escalating precision."""
+    """Exact valuation of f at any enumerated place.
+
+    A nonzero polynomial of top weight w has v_P <= w, so one expansion
+    of num and den to min(w + 1, max_precision) terms decides both.
+    """
     if f.is_zero:
         raise ValueError("the zero function has no valuation")
     if P.is_infinity:
@@ -419,10 +415,12 @@ def valuation_at(P: Point, f: FuncElement) -> int:
     curve = f.curve
     if not curve.on_curve(P):
         raise ValueError("point is not on the curve")
-    v = _terms_valuation(curve, P, f.num)
-    if f.den is not None:
-        v -= _terms_valuation(curve, P, f.den)
-    return v
+    parts = [f.num, f._den_dict()]
+    prec = min(max(_top_weight(curve, terms) for terms in parts) + 1, max_precision(curve))
+    v_num, v_den = (_first_nonzero(s) for s in _expand(curve, P, parts, prec))
+    if v_num is None or v_den is None:
+        raise PrecisionError(f"valuation unresolved at precision cap {prec}")
+    return v_num - v_den
 
 
 # ---------------------------------------------------------------------------

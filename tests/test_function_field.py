@@ -1,5 +1,7 @@
 """Function arithmetic, local expansions, and divisor-audited sections."""
 
+import random
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -11,6 +13,7 @@ from maxcurves import (
     const,
     evaluate,
     local_expansion,
+    max_precision,
     normal_form,
     rr_basis,
     solve_section,
@@ -19,6 +22,7 @@ from maxcurves import (
     x_of,
     y_of,
 )
+import maxcurves.function_field as function_field
 from maxcurves.function_field import monomial_series
 
 
@@ -156,13 +160,14 @@ def test_frozen_series_h35_origin(h35):
     assert list(s.coeffs) == want
 
 
-def naive_series_mul(t, a, b):
-    n = len(a)
+def naive_series_mul(t, a, b, n=None):
+    n = len(a) if n is None else n
     out = [0] * n
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            if i + j < n and ai and bj:
-                out[i + j] = t.add(out[i + j], t.mul(ai, bj))
+    for i, ai in enumerate(a[:n]):
+        if ai:
+            for j, bj in enumerate(b[:n - i]):
+                if bj:
+                    out[i + j] = t.add(out[i + j], t.mul(ai, bj))
     return out
 
 
@@ -315,6 +320,99 @@ def test_valuation_rejects_zero_and_off_curve(h23):
         valuation_at(Point(0, 0), const(h23, 0))
     with pytest.raises(ValueError):
         valuation_at(Point(1, 1), x_of(h23))
+
+
+def wide_reference(curve, P, f, ypow, prec=6):
+    """(v_P(f), first prec coefficients or None at a pole) from num and den
+    expanded separately to max_precision terms and divided naively."""
+    t = curve.tower
+    n = len(ypow[0])
+
+    def expand(terms):
+        # sum_j (sum_i c_ij (x(P) + t)^i) * y^j, the inner sum by Horner
+        out = [0] * n
+        for j, yj in enumerate(ypow):
+            s = []
+            for i in range(max((a for a, b in terms if b == j), default=-1), -1, -1):
+                s = [t.add(t.mul(P.x, a), b) for a, b in zip(s + [0], [0] + s)]
+                s[0] = t.add(s[0], terms.get((i, j), 0))
+            out = [t.add(a, b) for a, b in zip(out, naive_series_mul(t, s, yj, n))]
+        return out
+
+    num = expand(f.num)
+    den = expand(f.den if f.den is not None else {(0, 0): 1})
+    v_num = next(i for i, c in enumerate(num) if c)
+    v_den = next(i for i, c in enumerate(den) if c)
+    if v_num < v_den:
+        return v_num - v_den, None
+    a, d = num[v_den:v_den + prec], den[v_den:v_den + prec]
+    q = []
+    for k in range(prec):
+        acc = a[k]
+        for i in range(1, k + 1):
+            acc = t.sub(acc, t.mul(d[i], q[k - i]))
+        q.append(t.div(acc, d[0]))
+    return v_num - v_den, q
+
+
+@pytest.mark.parametrize("name", ["h32", "h23", "h35", "add45"])
+def test_exact_precision_matches_wide_reference(request, name):
+    curve = request.getfixturevalue(name)
+    t = curve.tower
+    q = t.q
+    rng = random.Random(q)
+    affine = [P for P in curve.enumerate_points(4) if not P.is_infinity]
+    points = [affine[0], next(P for P in affine if P.x and curve.is_rational(P))]
+    points += [P for P in affine if not curve.is_rational(P)][:1]
+    high = poles = 0
+    for P in points:
+        ys = monomial_series(curve, P, [(0, 1)], max_precision(curve))[0]
+        ypow = [[1] + [0] * (len(ys) - 1)]
+        for _ in range(curve.deg_f - 1):
+            ypow.append(naive_series_mul(t, ypow[-1], ys))
+        lx = x_of(curve) - const(curve, P.x)
+        ly = y_of(curve) - const(curve, P.y)
+
+        def poly():
+            terms = {(rng.randrange(3), rng.randrange(3)): rng.randrange(1, t.order)
+                     for _ in range(rng.randint(1, 3))}
+            g = normal_form(curve, terms)
+            return const(curve, 1) if g.is_zero else g
+
+        cases = [(a, b, c) for a in (0, 2, 4 * q + 5) for b in (0, 1)
+                 for c in (None, 0, 3)] + [(0, 0, 5 * q)]
+        for a, b, c in cases:
+            f = poly() * lx ** a * ly ** b
+            if c is not None:
+                f = f / (poly() * lx ** c)
+            v, coeffs = wide_reference(curve, P, f, ypow)
+            assert valuation_at(P, f) == v, (P, a, b, c)
+            if coeffs is None:
+                with pytest.raises(ValueError):
+                    local_expansion(P, f, 6)
+            else:
+                assert list(local_expansion(P, f, 6).coeffs) == coeffs, (P, a, b, c)
+            high += v > 4 * (q + 1)
+            poles += v < 0
+    assert high and poles
+
+
+def test_one_y_development_per_call(h35, monkeypatch):
+    calls = []
+    develop = function_field._y_series
+
+    def counted(curve, P, n):
+        calls.append(n)
+        return develop(curve, P, n)
+
+    monkeypatch.setattr(function_field, "_y_series", counted)
+    q = h35.tower.q
+    P = next(P for P in h35.enumerate_points(4) if not h35.is_rational(P))
+    f = (x_of(h35) - const(h35, P.x)) ** (4 * q + 5) / (y_of(h35) - const(h35, P.y))
+    assert valuation_at(P, f) == 4 * q + 4
+    assert len(calls) == 1
+    local_expansion(P, f, 6)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
