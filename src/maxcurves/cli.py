@@ -125,13 +125,14 @@ def _curve_from(args, tower: FieldTower):
 def cmd_curve(args) -> tuple[dict, int]:
     tower = build_tower(args.p, args.a, budget=args.budget)
     curve = _curve_from(args, tower)
+    hw = curve.maximality_report()
     counts: dict = {
-        "rational": curve.count(2),
-        "expected_maximal": curve.maximality_report().expected,
-        "maximal": curve.is_maximal,
+        "rational": hw.actual,
+        "expected_maximal": hw.expected,
+        "maximal": hw.maximal,
         "quartic": curve.count(4),
     }
-    if curve.is_maximal:
+    if hw.maximal:
         counts["quartic_predicted"] = curve.predicted_count(2)
         counts["quartic_matches_prediction"] = \
             counts["quartic"] == counts["quartic_predicted"]

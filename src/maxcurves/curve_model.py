@@ -77,7 +77,6 @@ class CurveModel:
         self._fibers: dict[int, tuple[dict[int, int], tuple[int, ...]]] = {}
         self._counts: dict[int, int] = {}
         self._points: dict[int, tuple[Point, ...]] = {}
-        self._maximal: bool | None = None
 
     # -- defining polynomial -------------------------------------------------
 
@@ -160,18 +159,15 @@ class CurveModel:
     # -- maximality --------------------------------------------------------------
 
     def maximality_report(self) -> MaximalityReport:
+        """count(2) against the Hasse-Weil bound q^2 + 2gq + 1."""
         q = self.tower.q
         expected = q * q + 2 * self.genus * q + 1
         actual = self.count(2)
-        verdict = actual == expected
-        self._maximal = verdict
-        return MaximalityReport(verdict, actual, expected)
+        return MaximalityReport(actual == expected, actual, expected)
 
     @property
     def is_maximal(self) -> bool:
-        if self._maximal is None:
-            self.maximality_report()
-        return bool(self._maximal)
+        return self.maximality_report().maximal
 
     def predicted_count(self, j: int) -> int:
         """Point count over F_{q^(2j)} forced by maximality."""
@@ -198,7 +194,8 @@ class CurveModel:
 
     def is_rational(self, P: Point) -> bool:
         """Rational means defined over the curve's base field k = F_{q^2}."""
-        return self.point_level(P) <= 2
+        t = self.tower
+        return P.is_infinity or (t.in_level(P.x, 2) and t.in_level(P.y, 2))
 
     # -- reporting ----------------------------------------------------------------
 

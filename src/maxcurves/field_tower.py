@@ -281,8 +281,6 @@ class FieldTower:
         fac = prime_factors(n1)
         gen = None
         for cand in range(2, self.order):
-            if self._pow_raw(cand, n1) != 1:
-                continue  # defensive; every unit satisfies this
             if all(self._pow_raw(cand, n1 // f) != 1 for f in fac):
                 gen = cand
                 break

@@ -4,9 +4,11 @@ Elements are kept in the reduced form sum c_ij x^i y^j with j < deg F,
 using the relation a_e y^(deg F) = x^d - sum_{i<e} a_i y^(p^i).
 Since gcd(d, deg F) = 1 the monomial weights i*deg F + j*d are distinct,
 so the pole order at the place at infinity is read off the support.
-Local expansions at affine points use the uniformizer t = x - x(P);
-y is developed by the additive fixed-point recursion, which gains a
-factor p of t-adic precision per pass.  A nonzero polynomial of top
+Local expansions at affine points use the uniformizer t = x - x(P).
+F is additive, so F(y(P) + u) = x(P)^d + F(u), and u^(p^i) is u with
+its coefficients raised to p^i at indices multiplied by p^i; each
+coefficient of y is therefore fixed by earlier ones, and one pass of
+that recurrence (`_y_series`) develops y.  A nonzero polynomial of top
 weight w has w zeros counted with multiplicity, so v_P <= w and w + 1
 terms decide its valuation; PrecisionError is raised only when w + 1
 exceeds max_precision and the series vanishes up to that cap.
@@ -15,6 +17,7 @@ exceeds max_precision and the series vanishes up to that cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .curve_model import CurveModel, Point
 from .field_tower import PrecisionError
@@ -280,27 +283,6 @@ def _ser_mul(t, a, b, n):
     return out
 
 
-def _ser_pow(t, base, e, n):
-    r = [1] + [0] * (n - 1)
-    b = list(base[:n]) + [0] * max(0, n - len(base))
-    while e:
-        if e & 1:
-            r = _ser_mul(t, r, b, n)
-        e >>= 1
-        if e:
-            b = _ser_mul(t, b, b, n)
-    return r
-
-
-def _ser_frob(t, s, n):
-    out = [0] * n
-    p = t.p
-    for i, c in enumerate(s):
-        if c and i * p < n:
-            out[i * p] = t.pow(c, p)
-    return out
-
-
 def _ser_inv(t, s, n):
     if s[0] == 0:
         raise ZeroDivisionError("series is not a unit")
@@ -316,28 +298,28 @@ def _ser_inv(t, s, n):
 
 
 def _y_series(curve: CurveModel, P: Point, n: int) -> list[int]:
-    """Expansion of y in t = x - x(P) to n terms."""
+    """Expansion of y in t = x - x(P) to n terms, one coefficient at a time.
+
+    Write y = y(P) + sum_{k>=1} u_k t^k.  F is additive, so the t^k
+    coefficient of F(y) = (x(P) + t)^d, k >= 1, reads
+        a_0 u_k = C(d, k) x(P)^(d-k) - sum_{i>=1, p^i | k} a_i u_(k/p^i)^(p^i),
+    the binomial term being 0 for k > d; each u_k is fixed by earlier ones.
+    """
     t = curve.tower
-    h = _ser_pow(t, [P.x, 1], curve.d, n)
-    h[0] = 0  # drop the constant x(P)^d
-    a = curve.f_coeffs
+    p, d, a = t.p, curve.d, curve.f_coeffs
     a0_inv = t.inv(a[0])
-    u = [0] * n
-    for _ in range(64):
-        s = list(h)
-        w = u
-        for i in range(1, len(a)):
-            w = _ser_frob(t, w, n)
-            ai = a[i]
+    u = [P.y] + [0] * (n - 1)
+    for k in range(1, n):
+        c = t.mul(comb(d, k) % p, t.pow(P.x, d - k)) if k <= d else 0
+        j, pi = k, 1
+        for ai in a[1:]:
+            if j % p:
+                break
+            j //= p
+            pi *= p
             if ai:
-                s = [t.sub(sc, t.mul(ai, wc)) for sc, wc in zip(s, w)]
-        new = [t.mul(a0_inv, c) for c in s]
-        if new == u:
-            break
-        u = new
-    else:
-        raise PrecisionError("fixed-point recursion did not stabilize")
-    u[0] = P.y
+                c = t.sub(c, t.mul(ai, t.pow(u[j], pi)))
+        u[k] = t.mul(a0_inv, c)
     return u
 
 

@@ -8,6 +8,7 @@ Conjectural identities are always reported as flags, never asserted.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -75,22 +76,20 @@ def bounds_report(curve: CurveModel) -> BoundsReport:
     tower = curve.tower
     q = tower.q
     g = curve.genus
-    count = curve.count(2)
-    expected = q * q + 2 * g * q + 1
-    hasse = count == expected
+    hw = curve.maximality_report()
     m1 = _first_nongap(curve)
     n = _system_n(curve)
     # a degenerate system (n = 0 when d > q + 1) carries no rank bound
     cast = castelnuovo_bound(n, q) if n >= 1 else None
     cast_ok = cast is None or 2 * g <= cast
     lew_g = 2 * g <= q * (m1 - 1)
-    lew_c = count <= q * q * m1 + 1
+    lew_c = hw.actual <= q * q * m1 + 1
     glob = 2 * g <= (q - 1) * q
-    all_ok = hasse and cast_ok and lew_g and lew_c and glob
+    all_ok = hw.maximal and cast_ok and lew_g and lew_c and glob
     return BoundsReport(
-        rational_count=count,
-        expected_maximal_count=expected,
-        hasse_weil_ok=hasse,
+        rational_count=hw.actual,
+        expected_maximal_count=hw.expected,
+        hasse_weil_ok=hw.maximal,
         m1=m1,
         n=n,
         castelnuovo_value=cast,
@@ -447,7 +446,6 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
     nonzero = [z for z in level2 if z]
     d_prime = math.gcd(d, q * q - 1)
     scalers = sorted({tower.pow(z, d_prime) for z in nonzero})
-    expected = q * q + (m1 - 1) * (d - 1) * q + 1
     unit_cost = q * q
     tested = 0
     skipped = 0
@@ -466,39 +464,26 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
                 return False
         return True
 
-    grids = [nonzero] + [level2] * (e - 1)
-
-    def walk(prefix: tuple[int, ...], depth: int):
-        nonlocal tested, skipped, spent, complete
-        if not complete:
-            return
-        if depth == e:
-            if not orbit_min(prefix):
-                skipped += 1
-                return
-            if spent + unit_cost > budget:
-                complete = False
-                return
-            spent += unit_cost
-            tested += 1
-            curve = define_curve(tower, prefix + (1,), d)
-            if curve.count(2) == expected:
-                n = _system_n(curve)
-                hits.append(ConjectureHit(
-                    f_coeffs=prefix + (1,),
-                    genus=curve.genus,
-                    count=curve.count(2),
-                    n=n,
-                    two_g_matches=2 * curve.genus == (m1 - 1) * q,
-                    n_m1_matches=n * m1 == q,
-                ))
-            return
-        for v in grids[depth]:
-            walk(prefix + (v,), depth + 1)
-            if not complete:
-                return
-
-    walk((), 0)
+    for prefix in itertools.product(nonzero, *[level2] * (e - 1)):
+        if not orbit_min(prefix):
+            skipped += 1
+            continue
+        if spent + unit_cost > budget:
+            complete = False
+            break
+        spent += unit_cost
+        tested += 1
+        curve = define_curve(tower, prefix + (1,), d)
+        if curve.is_maximal:
+            n = _system_n(curve)
+            hits.append(ConjectureHit(
+                f_coeffs=prefix + (1,),
+                genus=curve.genus,
+                count=curve.count(2),
+                n=n,
+                two_g_matches=2 * curve.genus == (m1 - 1) * q,
+                n_m1_matches=n * m1 == q,
+            ))
     return ConjectureReport(
         q=q, m1=m1, d=d, tested=tested, skipped_equivalent=skipped,
         hits=tuple(hits), complete=complete, budget=budget, spent=spent,

@@ -273,6 +273,7 @@ def test_frobenius_and_rationality(h23):
     rational = [P for P in pts4 if h23.is_rational(P)]
     assert len(rational) == 16
     for P in pts4:
+        assert h23.is_rational(P) == (h23.point_level(P) <= 2)
         Q = h23.frobenius(P)
         assert h23.on_curve(Q)
         if h23.is_rational(P):

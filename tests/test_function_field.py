@@ -11,6 +11,7 @@ from maxcurves import (
     PrecisionError,
     basis_functions,
     const,
+    define_curve,
     evaluate,
     local_expansion,
     max_precision,
@@ -190,6 +191,40 @@ def test_series_satisfies_curve_equation(h23, h35):
         rhs = [0] * prec
         rhs[curve.d] = 1  # the x-side is exactly t^d at the origin
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("name", ["h32", "h23", "h35", "add45", "multi4", "multi9"])
+def test_y_series_solves_curve_equation(request, t4, t9, name):
+    # sum a_i y^(p^i) = (x(P) + t)^d to n terms, both sides by naive
+    # products; multi4 and multi9 have a_0 != 1 and two terms past a_0
+    if name == "multi4":
+        curve = define_curve(t4, (t4.xi, t4.pow(t4.xi, 5), 1), 3)
+    elif name == "multi9":
+        curve = define_curve(t9, (t9.xi, t9.pow(t9.xi, 2), 1), 5)
+    else:
+        curve = request.getfixturevalue(name)
+    t = curve.tower
+    q = t.q
+    affine = [P for P in curve.enumerate_points(4) if not P.is_infinity]
+    rational = [P for P in affine if curve.is_rational(P)]
+    points = rational[:12] + [P for P in affine if P.x == 0]
+    points += [P for P in affine if not curve.is_rational(P)][:3]
+    for P in points:
+        for n in (1, 2, q + 2, 4 * (q + 1)):
+            ys = function_field._y_series(curve, P, n)
+            assert len(ys) == n and ys[0] == P.y
+            lhs = [0] * n
+            w = ys
+            for c in curve.f_coeffs:
+                lhs = [t.add(l, t.mul(c, v)) for l, v in zip(lhs, w)]
+                nxt = w
+                for _ in range(t.p - 1):
+                    nxt = naive_series_mul(t, nxt, w)
+                w = nxt
+            rhs = [1] + [0] * (n - 1)
+            for _ in range(curve.d):
+                rhs = naive_series_mul(t, rhs, [P.x, 1])
+            assert lhs == rhs, (P, n)
 
 
 def test_monomial_series_matches_naive_products(h23, h35):
