@@ -8,6 +8,17 @@ The ramification audit and the order census both read one map,
 audit cross-checks the divisor degrees of the system cut by
 L((q+1) * P_infinity) against per-point weights over the full point
 set of a maximal trace-family curve.
+
+The map is computed once per orbit of the group G generated by the
+q^2-power Frobenius sigma, the translations y -> y + kappa with kappa in
+ker F and in k, and the scalings x -> zeta * x with zeta^d = 1 and zeta
+in k.  The translations and scalings are automorphisms fixing P_infinity,
+so they carry L((q+1) * P_infinity) to itself, and sigma conjugates the
+expansion of every k-rational function; so the orders of the system are
+constant on each orbit (Stohr-Voloch 1986).  Since zeta and kappa lie
+in k, the maps commute and the orbit of (x, y) is the set of
+(zeta * sigma^e(x), sigma^e(y) + kappa).  The exhaustive map, one
+`order_sequence` per point, survives only as the test oracle.
 """
 
 from __future__ import annotations
@@ -193,9 +204,46 @@ def order_sequence(curve: CurveModel, P: Point) -> OrderSequence:
     return OrderSequence(P, tuple(pivots), _point_type(curve, P))
 
 
+def _orbit_group(curve: CurveModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(mu_d(k), ker F in k): the x-scalings and y-translations of G."""
+    t = curve.tower
+    g = math.gcd(curve.d, t.q2 - 1)
+    zeta = t.pow(t.xi, (t.q2 - 1) // g)
+    return tuple(t.pow(zeta, i) for i in range(g)), curve._fiber_table(2)[1]
+
+
 def order_sequences(curve: CurveModel) -> dict[Point, tuple[int, ...]]:
-    """The order sequence of every point over F_{q^4}, infinity included."""
-    return {P: order_sequence(curve, P).orders for P in curve.enumerate_points(4)}
+    """The order sequence of every point over F_{q^4}, infinity included.
+
+    G is generated by sigma (the q^2-power Frobenius), y -> y + kappa
+    (kappa in ker F and in k) and x -> zeta * x (zeta in k, zeta^d = 1);
+    the orders are constant on its orbits (module docstring).  One
+    `order_sequence` per orbit is copied to every image
+    (zeta * sigma^e(x), sigma^e(y) + kappa); the first point of each
+    orbit in enumeration order is its representative.  An image that is
+    not an enumerated point raises RuntimeError, so a map outside G
+    cannot fill the result.  The exhaustive map, one `order_sequence`
+    per point, is only the test oracle.
+    """
+    t = curve.tower
+    roots, kernel = _orbit_group(curve)
+    out = dict.fromkeys(curve.enumerate_points(4))
+    for P, seen in out.items():
+        if seen is not None:
+            continue
+        orders = order_sequence(curve, P).orders
+        if P.is_infinity:
+            out[P] = orders
+            continue
+        for R in (P, curve.frobenius(P)):
+            for zeta in roots:
+                x = t.mul(zeta, R.x)
+                for kappa in kernel:
+                    image = Point(x, t.add(R.y, kappa))
+                    if image not in out:
+                        raise RuntimeError(f"orbit image {image} of {P} is not on the curve")
+                    out[image] = orders
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -310,19 +310,30 @@ def test_audit_verdict_needs_every_check(h23, monkeypatch, name, spoil):
 
 
 def test_audit_computes_each_order_sequence_once(h35, monkeypatch):
+    # one order_sequence per orbit of G: 18 orbits among the 426 points
+    import maxcurves.verdicts as verdicts
     import maxcurves.weierstrass as weierstrass
     seen = []
+    maps = []
     sequence = weierstrass.order_sequence
+    sequences = verdicts.order_sequences
 
     def counted(curve, P):
         seen.append(P)
         return sequence(curve, P)
 
+    def kept(curve):
+        maps.append(sequences(curve))
+        return maps[-1]
+
     monkeypatch.setattr(weierstrass, "order_sequence", counted)
+    monkeypatch.setattr(verdicts, "order_sequences", kept)
     rep = audit(h35)
     assert rep.all_identities
-    assert len(seen) == len(set(seen)) == h35.count(4) == 426
+    assert len(seen) == len(set(seen)) == 18
     assert rep.ramification.nonrational_checked == 426 - 66
+    oracle = {P: sequence(h35, P).orders for P in h35.enumerate_points(4)}
+    assert len(maps) == 1 and maps[0] == oracle
 
 
 # ---------------------------------------------------------------------------

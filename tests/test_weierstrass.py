@@ -15,6 +15,7 @@ from maxcurves import (
     PrecisionError,
     basis_functions,
     default_precision,
+    define_curve,
     hermitian_curve,
     linear_system_info,
     local_expansion,
@@ -248,6 +249,46 @@ def test_achievable_valuations_lie_in_order_set(h23):
             if f.is_zero:
                 continue
             assert valuation_at(P, f) in allowed
+
+
+# ---------------------------------------------------------------------------
+# the orbit fold of order_sequences
+# ---------------------------------------------------------------------------
+
+def _random_additive(tower, d, seed):
+    """A fixed-seed separable additive F of degree p^e, 1 <= e <= a, over k."""
+    rng = random.Random(seed)
+    k = tower.elements(2)
+    e = rng.randint(1, tower.a)
+    coeffs = ([rng.choice(k[1:])] + [rng.choice(k) for _ in range(e - 1)]
+              + [rng.choice(k[1:])])
+    return define_curve(tower, coeffs, d)
+
+
+def test_orbit_fold_matches_exhaustive(request, t3, t4, t5, t7):
+    curves = [request.getfixturevalue(name)
+              for name in ("h32", "h23", "h43", "h25", "h35", "add45")]
+    curves += [hermitian_curve(t7, 4), hermitian_curve(t7, 8)]
+    # ker F in k and mu_d(k) both vary: |mu_d(k)| = gcd(d, q^2 - 1)
+    for tower, ds in ((t3, (2, 4, 7)), (t4, (3, 7)), (t5, (2, 3, 4, 7))):
+        curves += [_random_additive(tower, d, seed=10 * tower.q + d) for d in ds]
+    sizes = set()
+    for curve in curves:
+        oracle = {P: order_sequence(curve, P).orders
+                  for P in curve.enumerate_points(4)}
+        assert order_sequences(curve) == oracle, curve
+        roots, kernel = weierstrass._orbit_group(curve)
+        sizes.add((len(roots), len(kernel)))
+    assert len({r for r, _ in sizes}) > 2 and len({k for _, k in sizes}) > 2
+
+
+def test_orbit_image_off_the_curve_raises(h35, monkeypatch):
+    roots, kernel = weierstrass._orbit_group(h35)
+    assert h35.f_eval(1) != 0  # 1 is no translation of the curve
+    monkeypatch.setattr(weierstrass, "_orbit_group",
+                        lambda curve: (roots, kernel + (1,)))
+    with pytest.raises(RuntimeError, match="is not on the curve"):
+        order_sequences(h35)
 
 
 # ---------------------------------------------------------------------------
