@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     cj.add_argument("--d", type=int, default=None,
                     help="x-degree of the searched models (default q + 1)")
     cj.add_argument("--scan-budget", type=int, default=1 << 22,
-                    help="total level-2 scan operations allowed")
+                    help="total budget, q^2 units per tested candidate")
     cj.set_defaults(func=cmd_conjecture)
 
     nm = sub.add_parser("normalize", help="rescale a trace-shaped model")

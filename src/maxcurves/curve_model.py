@@ -8,7 +8,14 @@ the cyclic unit group of a level of order Q, x -> x^d is g-to-1 onto
 the exp[k] with k = 0 mod s*g, where g = gcd(d, Q - 1) and
 s = (q^4 - 1)/(Q - 1), so the count is
 1 + |ker F| * (1 + g * #{z in F(level) : z != 0, log z = 0 mod s*g}),
-one pass over the values of F, memoized per level.
+one pass over the values of F, memoized per level.  At level 2, when
+the d-th powers and 0 form a subfield L = F_{p^j} (that is, when
+(q^2 - 1)/g + 1 = p^j; d = q + 1 gives L = F_q), the count needs no
+fiber table: it is 1 + p^(2a - r) * (1 + g * (p^(r + j - r') - 1)),
+with r the F_p-rank of F(1), F(xi), ..., F(xi^(2a-1)) (so
+|ker F| = p^(2a - r)) and r' the rank of those vectors together with
+the basis 1, eta, ..., eta^(j-1) of L, eta = xi^g (so
+|F(k) & L| = p^(r + j - r')).
 `enumerate_points` lists the cosets for the callers that need the
 points themselves.  The family tagged "hermitian-type" is
 y^q + y = x^m with m dividing q + 1; m = q + 1 gives the Hermitian
@@ -18,6 +25,7 @@ curve itself.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd
 
@@ -61,6 +69,27 @@ def _span(tower: FieldTower, vectors) -> list[int]:
             part = [add(v, b) for v in part]
             out.extend(part)
     return out
+
+
+def _fp_rank(tower: FieldTower, vectors, pivots: dict[int, int]) -> int:
+    """Add the vectors that are F_p-independent of `pivots`; return how many.
+
+    pivots maps a digit position to the basis vector whose top nonzero
+    digit sits there and is 1; reducing v by it clears v's top digit.
+    """
+    powers = [tower.p ** i for i in range(tower.degree)]
+    added = 0
+    for v in vectors:
+        while v:
+            top = bisect_right(powers, v) - 1
+            lead = v // powers[top]
+            b = pivots.get(top)
+            if b is None:
+                pivots[top] = tower.div(v, lead)
+                added += 1
+                break
+            v = tower.sub(v, tower.mul(lead, b))
+    return added
 
 
 class CurveModel:
@@ -146,11 +175,21 @@ class CurveModel:
         return self._counts[level]
 
     def _count(self, level: int) -> int:
-        """The count by logs (module docstring); the inner 1 is x = 0."""
+        """The count by ranks or by logs (module docstring); the inner 1 is x = 0."""
         t = self.tower
-        solmap, kernel = self._fiber_table(level)
         Q = t.level_order(level)
         g = gcd(self.d, Q - 1)
+        size = (Q - 1) // g + 1  # the d-th powers and 0
+        j = 0
+        while t.p ** j < size:
+            j += 1
+        if level == 2 and t.p ** j == size:
+            pivots: dict[int, int] = {}
+            r = _fp_rank(t, [self.f_eval(t.pow(t.xi, i)) for i in range(2 * t.a)], pivots)
+            eta = t.pow(t.xi, g)
+            r2 = r + _fp_rank(t, [t.pow(eta, i) for i in range(j)], pivots)
+            return 1 + t.p ** (2 * t.a - r) * (1 + g * (t.p ** (r + j - r2) - 1))
+        solmap, kernel = self._fiber_table(level)
         step = (t.order - 1) // (Q - 1) * g
         log = t._log
         powers = sum(1 for z in solmap if z and log[z] % step == 0)

@@ -8,7 +8,6 @@ Conjectural identities are always reported as flags, never asserted.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -426,10 +425,16 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
                        budget: int = 1 << 22) -> ConjectureReport:
     """Grid-search monic additive models of degree m1 for maximality.
 
-    Candidates equivalent under rescaling x by a d-th power are folded
-    to the lex-least representative before testing. The budget counts
-    one level-2 field scan per tested candidate; an exhausted budget
-    yields a partial report with complete=False.
+    Rescaling y by a d-th power c turns a_i into a_i * c^(p^i - m1), so
+    each candidate is one of an orbit of scaling rows; only the
+    lex-least of each orbit is tested.  The walk reaches those directly
+    by a stabilizer chain: a candidate is least iff at each position i,
+    a_i is least in its orbit under the rows that fix a_0, ..., a_(i-1),
+    and the values allowed at i are kept per (position, fixing rows).
+    Representatives come in `itertools.product` order over the lex-sorted
+    field, and the rest are counted as skipped_equivalent.  The budget
+    counts q^2 units (one level-2 field scan) per tested candidate; an
+    exhausted budget yields a partial report with complete=False.
     """
     q = tower.q
     p = tower.p
@@ -443,33 +448,47 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
     if math.gcd(d, p) != 1 or d < 2:
         raise ValueError("d must be at least 2 and prime to the characteristic")
     level2 = tower.elements(2)
-    nonzero = [z for z in level2 if z]
+    domains = [level2[1:]] + [level2] * (e - 1)  # level2[0] is 0
     d_prime = math.gcd(d, q * q - 1)
-    scalers = sorted({tower.pow(z, d_prime) for z in nonzero})
+    scalers = {tower.pow(z, d_prime) for z in domains[0]}
+    rows = frozenset(tuple(tower.pow(c, p ** i - m1) for i in range(e)) for c in scalers)
+    mul = tower.mul
+    allowed: dict[tuple[int, frozenset], list] = {}
+
+    def least(i: int, fixing: frozenset) -> list:
+        """(v, rows fixing a_0..a_i) for each orbit-least value v of a_i."""
+        key = (i, fixing)
+        if key not in allowed:
+            mults = {row[i] for row in fixing}
+            keep = frozenset(row for row in fixing if row[i] == 1)
+            seen: set[int] = set()
+            out = []
+            for v in domains[i]:
+                if v not in seen:
+                    seen.update(mul(v, s) for s in mults)
+                    out.append((v, keep if v else fixing))
+            allowed[key] = out
+        return allowed[key]
+
+    def walk(i: int, fixing: frozenset, prefix: tuple[int, ...]):
+        if i == e:
+            yield prefix
+            return
+        for v, rest in least(i, fixing):
+            yield from walk(i + 1, rest, prefix + (v,))
+
     unit_cost = q * q
     tested = 0
-    skipped = 0
     spent = 0
+    reached = (q * q - 1) * q ** (2 * (e - 1))
     complete = True
     hits = []
-
-    # y -> c y with c a d-th power turns a_i into a_i * c^(p^i - m1)
-    rank, mul = tower.lex_rank, tower.mul
-    scale_rows = [[tower.pow(c, p ** i - m1) for i in range(e)] for c in scalers]
-
-    def orbit_min(cand: tuple[int, ...]) -> bool:
-        key = [rank(v) for v in cand]
-        for row in scale_rows:
-            if [rank(mul(v, s)) for v, s in zip(cand, row)] < key:
-                return False
-        return True
-
-    for prefix in itertools.product(nonzero, *[level2] * (e - 1)):
-        if not orbit_min(prefix):
-            skipped += 1
-            continue
+    for prefix in walk(0, rows, ()):
         if spent + unit_cost > budget:
             complete = False
+            reached = 0  # the product index of prefix
+            for dom, v in zip(domains, prefix):
+                reached = reached * len(dom) + dom.index(v)
             break
         spent += unit_cost
         tested += 1
@@ -484,6 +503,7 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
                 two_g_matches=2 * curve.genus == (m1 - 1) * q,
                 n_m1_matches=n * m1 == q,
             ))
+    skipped = reached - tested
     return ConjectureReport(
         q=q, m1=m1, d=d, tested=tested, skipped_equivalent=skipped,
         hits=tuple(hits), complete=complete, budget=budget, spent=spent,

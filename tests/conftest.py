@@ -35,6 +35,11 @@ def t7():
 
 
 @pytest.fixture(scope="session")
+def t8():
+    return build_tower(2, 3)
+
+
+@pytest.fixture(scope="session")
 def t9():
     return build_tower(3, 2)
 

@@ -1,13 +1,19 @@
 """Point enumeration and maximality against naive double-loop oracles."""
 
 import csv
+import random
+from math import gcd
+from types import SimpleNamespace
 
 import pytest
+
+import maxcurves.verdicts as verdicts
 
 from maxcurves import (
     INFINITY,
     CurveModel,
     Point,
+    build_tower,
     cli,
     conjecture_explore,
     define_curve,
@@ -177,6 +183,68 @@ def test_count_by_logs_matches_direct_pass(request, tower, d):
     curve = define_curve(t, (1, 1), d)
     for level in (2, 4):
         assert curve.count(level) == direct_count(curve, level)
+
+
+def log_count(curve, level):
+    """The level count by logs over the fiber table, for every d."""
+    t = curve.tower
+    solmap, kernel = curve._fiber_table(level)
+    Q = t.level_order(level)
+    g = gcd(curve.d, Q - 1)
+    step = (t.order - 1) // (Q - 1) * g
+    powers = sum(1 for z in solmap if z and t._log[z] % step == 0)
+    return 1 + len(kernel) * (1 + g * powers)
+
+
+def assert_rank_count(t, coeffs, d):
+    """A fresh curve counts level 2 by ranks, without a fiber table, as logs do."""
+    curve = define_curve(t, coeffs, d)
+    n = curve._count(2)
+    assert not curve._fibers
+    assert n == log_count(curve, 2)
+
+
+@pytest.mark.parametrize("tower,m1", [("t4", 2), ("t8", 2), ("t8", 4), ("t9", 3),
+                                      ("t9", 9), ("t16", 2)])
+def test_rank_count_matches_logs_on_every_scanned_candidate(monkeypatch, request,
+                                                            tower, m1):
+    t = request.getfixturevalue(tower)
+    tested = []
+
+    def record(tower, coeffs, d):
+        tested.append(coeffs)
+        return SimpleNamespace(is_maximal=False)
+
+    monkeypatch.setattr(verdicts, "define_curve", record)
+    rep = conjecture_explore(t, m1)
+    assert rep.complete and len(tested) == rep.tested
+    for coeffs in tested:
+        assert_rank_count(t, coeffs, t.q + 1)
+
+
+# d = q + 1 (L = F_q), (q^2 - 1)/(p - 1) (L = F_p) and prime to q^2 - 1 (L = k)
+@pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                                 (3, 2), (2, 4)], ids=str)
+def test_rank_count_matches_logs_on_random_curves(p, a):
+    t = build_tower(p, a)
+    q2 = t.q2
+    coprime = next(d for d in range(2, 4 * q2) if gcd(d, p * (q2 - 1)) == 1)
+    rng = random.Random(p * 100 + a)
+    level2 = t.elements(2)
+    for d in (t.q + 1, (q2 - 1) // (p - 1), coprime):
+        for _ in range(14):
+            e = rng.randint(1, a + 1)
+            coeffs = [rng.choice(level2) for _ in range(e + 1)]
+            coeffs[0] = coeffs[0] or 1
+            coeffs[-1] = coeffs[-1] or 1
+            assert_rank_count(t, coeffs, d)
+
+
+def test_count_by_logs_when_the_powers_are_no_subfield(t8):
+    # d = 3 at q = 8: the 21 cubes of F_64* and 0 are no subfield
+    curve = define_curve(t8, (1, 1), 3)
+    assert curve._count(2) == log_count(curve, 2) == direct_count(curve, 2)
+    assert 2 in curve._fibers
 
 
 def test_count_runs_once_per_level(monkeypatch, capsys, t4):

@@ -40,6 +40,14 @@ GOLDEN = [
      "288228ae7b891a030299f55d8cc880b9c52e549727808f042d7e4e18ebf32efb"),
     ("conjecture --p 2 --a 3 --m1 4 --d 3", 0,
      "220830917634c9731c62d4bef9168013f4f2a66f51c87c308067b39600603553"),
+    ("conjecture --p 2 --a 3 --m1 4", 0,
+     "2cb812ec65cb8fd04a973e0ed546b5163200a2801f85d87c2af7c1418df0b065"),
+    ("conjecture --p 3 --a 2 --m1 9", 0,
+     "de3bf1e7179e876e32422b4f8545f6be322bc9c77a07973fda3a170acd0b921d"),
+    ("conjecture --p 3 --a 2 --m1 9 --scan-budget 6400", 3,
+     "2e19f5060a2cdd147a8bc3e08f0300a1bc52173d3536979ec112abcdf9946711"),
+    ("conjecture --p 2 --a 3 --m1 8 --scan-budget 25600", 3,
+     "79b42d4f7d0da8dad0ab4aef9c71126497bf40a7e53f54eb8856353a45a398c6"),
     ("normalize --p 5 --a 1 --fa 2 --fb 3 --m 3", 0,
      "c911ad05a3e1017bd8e5fb23281ac33bb5453cdd6a3265d3e794d2b5ec630029"),
     ("code --p 2 --a 1 --hermitian-m 3 --lambda 3 --exact", 0,

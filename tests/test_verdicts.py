@@ -1,10 +1,15 @@
 """Bounds, the nm1 dichotomy, model normalization, the grid scans, and
 the audit that joins the checks into one verdict."""
 
+import itertools
+import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
+
+import maxcurves.verdicts as verdicts
 
 from maxcurves import (
     BRANCH_CONJ,
@@ -14,6 +19,7 @@ from maxcurves import (
     SyntheticInstance,
     audit,
     bounds_report,
+    build_tower,
     castelnuovo_bound,
     conjecture_explore,
     define_curve,
@@ -373,8 +379,69 @@ def test_conjecture_scan_partial_budget(t4):
     rep = conjecture_explore(t4, 2, budget=32)
     assert not rep.complete
     assert rep.tested == 2
+    assert rep.skipped_equivalent == 0
     assert rep.spent == 32
     assert rep.budget == 32
+
+
+def orbit_min_scan(tower, m1, d, limit=None):
+    """The exhaustive filter: (product index, candidate) for each candidate that
+    no scaling row makes lex-smaller, up to limit + 1 of them, and the grid size."""
+    q, p = tower.q, tower.p
+    e = 0
+    while p ** e < m1:
+        e += 1
+    level2 = tower.elements(2)
+    nonzero = [z for z in level2 if z]
+    scalers = sorted({tower.pow(z, math.gcd(d, q * q - 1)) for z in nonzero})
+    scale_rows = [[tower.pow(c, p ** i - m1) for i in range(e)] for c in scalers]
+    rank, mul = tower.lex_rank, tower.mul
+
+    def orbit_min(cand):
+        key = [rank(v) for v in cand]
+        for row in scale_rows:
+            if [rank(mul(v, s)) for v, s in zip(cand, row)] < key:
+                return False
+        return True
+
+    grid = itertools.product(nonzero, *[level2] * (e - 1))
+    reps = (ic for ic in enumerate(grid) if orbit_min(ic[1]))
+    if limit is not None:
+        reps = itertools.islice(reps, limit + 1)
+    return list(reps), (q * q - 1) * q ** (2 * (e - 1))
+
+
+# (p, a, m1, d, limit): e = 3 at (2, 3, 8); the limit keeps its oracle to
+# the first 3000 representatives, about a tenth of the grid
+ORBIT_CASES = [(2, 4, 4, 17, None), (2, 3, 4, 3, None), (2, 3, 8, 9, 3000),
+               (3, 2, 9, 10, None), (5, 1, 5, 6, None), (2, 2, 2, 5, None)]
+
+
+@pytest.mark.parametrize("p,a,m1,d,limit", ORBIT_CASES, ids=str)
+def test_scan_walks_the_orbit_min_representatives(monkeypatch, p, a, m1, d, limit):
+    tower = build_tower(p, a)
+    unit = tower.q ** 2
+    reps, total = orbit_min_scan(tower, m1, d, limit)
+    seen = []
+
+    def record(tower, coeffs, d):
+        seen.append(coeffs[:-1])
+        return SimpleNamespace(is_maximal=False)
+
+    monkeypatch.setattr(verdicts, "define_curve", record)
+    k = len(reps) if limit is None else limit
+    rep = conjecture_explore(tower, m1, d=d, budget=k * unit)
+    assert seen == [c for _, c in reps[:k]]
+    assert rep.tested == k and rep.complete == (limit is None)
+    assert rep.skipped_equivalent == (total if limit is None else reps[k][0]) - k
+    for n, extra in ((0, 0), (0, unit - 1), (1, 0), (5, 3), (len(reps) // 2, 0),
+                     (len(reps) - 1, unit - 1)):
+        if n >= len(reps):
+            continue
+        rep = conjecture_explore(tower, m1, d=d, budget=n * unit + extra)
+        assert not rep.complete
+        assert rep.tested == n and rep.spent == n * unit
+        assert rep.skipped_equivalent == reps[n][0] - n
 
 
 def test_conjecture_scan_validation(t4):
