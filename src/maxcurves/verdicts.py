@@ -23,6 +23,7 @@ from .field_tower import ELEMENT, FieldTower
 from .function_field import rr_basis, x_of, y_of
 from .weierstrass import (
     LinearSystemInfo,
+    OrbitTable,
     OrderCensus,
     RamificationReport,
     linear_system_info,
@@ -355,11 +356,15 @@ class EmbeddingReport:
     ok: bool
 
 
-def embedding_check(curve: CurveModel) -> EmbeddingReport:
+def embedding_check(curve: CurveModel, orders: OrbitTable) -> EmbeddingReport:
     """Rationality of images under (1 : y : ... : y^(n-1) : x : y^n).
 
     A point has a rational image exactly when all coordinate ratios lie
     in the level-2 field; the infinite place maps to (0 : ... : 0 : 1).
+    Every element of the orbit group G of `order_sequences` keeps
+    L((q+1)P_inf), so it acts on the embedding by a projectivity over k
+    (sigma by conjugation) and image rationality is constant on orbits:
+    one evaluation per affine representative, weighted by orbit size.
     """
     if curve.family != "hermitian-type":
         raise ValueError("the embedding check supports the trace family only")
@@ -372,15 +377,15 @@ def embedding_check(curve: CurveModel) -> EmbeddingReport:
     rat_pts = 0
     rat_imgs = 0
     matches = True
-    for P in curve.enumerate_points(4):
+    for P, (_, size) in orders.items():
         if P.is_infinity:
             continue
         coords = [tower.pow(P.y, j) for j in range(n)] + [P.x, tower.pow(P.y, n)]
         img_rational = all(tower.in_level(v, 2) for v in coords if v)
         point_rational = curve.is_rational(P)
-        checked += 1
-        rat_pts += point_rational
-        rat_imgs += img_rational
+        checked += size
+        rat_pts += size * point_rational
+        rat_imgs += size * img_rational
         if img_rational != point_rational:
             matches = False
     infinity_ok = curve.is_rational(INFINITY)
@@ -535,7 +540,7 @@ class AuditReport:
 def audit(curve: CurveModel) -> AuditReport:
     """Run every identity check on a maximal curve and decide the verdict.
 
-    Both the ramification audit and the census read one order_sequences map.
+    The ramification audit, census and embedding check share one orbit table.
     The trace-family sections (ramification, embedding) are Skipped
     with their reason on other curves and then count as passed.  The
     verdict also needs a dichotomy branch, no failed genus identity, a
@@ -550,7 +555,7 @@ def audit(curve: CurveModel) -> AuditReport:
         ram = Skipped(str(exc))
     census = order_census(curve, orders)
     try:
-        emb = embedding_check(curve)
+        emb = embedding_check(curve, orders)
     except ValueError as exc:
         emb = Skipped(str(exc))
     verdict = dichotomy_check(curve)

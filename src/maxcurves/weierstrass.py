@@ -3,21 +3,22 @@
 Order sequences are read off as the pivot columns of the row echelon
 form of the basis-expansion matrix at a point: the pivot columns are
 exactly the t-adic valuations attained by the linear system there.
-The ramification audit and the order census both read one map,
-`order_sequences`, from every point over F_{q^4} to its sequence; the
-audit cross-checks the divisor degrees of the system cut by
-L((q+1) * P_infinity) against per-point weights over the full point
-set of a maximal trace-family curve.
+`order_sequences` returns one table, {representative: (orders, size)},
+one entry per orbit of the group G below.  The ramification audit, the
+order census and the embedding check read each entry once and weight
+it by size; the audit cross-checks the divisor degrees of the system
+cut by L((q+1) * P_infinity) against per-point weights over the full
+point set of a maximal trace-family curve.
 
-The map is computed once per orbit of the group G generated by the
-q^2-power Frobenius sigma, the translations y -> y + kappa with kappa in
-ker F and in k, and the scalings x -> zeta * x with zeta^d = 1 and zeta
-in k.  The translations and scalings are automorphisms fixing P_infinity,
-so they carry L((q+1) * P_infinity) to itself, and sigma conjugates the
-expansion of every k-rational function; so the orders of the system are
-constant on each orbit (Stohr-Voloch 1986).  Since zeta and kappa lie
-in k, the maps commute and the orbit of (x, y) is the set of
-(zeta * sigma^e(x), sigma^e(y) + kappa).  The exhaustive map, one
+G is generated by the q^2-power Frobenius sigma, the translations
+y -> y + kappa with kappa in ker F and in k, and the scalings
+x -> zeta * x with zeta^d = 1 and zeta in k.  The translations and
+scalings are automorphisms fixing P_infinity, so they carry
+L((q+1) * P_infinity) to itself, and sigma conjugates the expansion of
+every k-rational function; so the orders of the system, rationality
+and x = 0 are constant on each orbit (Stohr-Voloch 1986).  Since zeta
+and kappa lie in k, the maps commute and the orbit of (x, y) is the set
+of (zeta * sigma^e(x), sigma^e(y) + kappa).  The exhaustive map, one
 `order_sequence` per point, survives only as the test oracle.
 """
 
@@ -212,37 +213,38 @@ def _orbit_group(curve: CurveModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(t.pow(zeta, i) for i in range(g)), curve._fiber_table(2)[1]
 
 
-def order_sequences(curve: CurveModel) -> dict[Point, tuple[int, ...]]:
-    """The order sequence of every point over F_{q^4}, infinity included.
+# {representative: (orders, size)}: one entry per orbit of G (module docstring)
+OrbitTable = dict[Point, tuple[tuple[int, ...], int]]
+
+
+def order_sequences(curve: CurveModel) -> OrbitTable:
+    """{representative: (orders, size)}, one entry per orbit of G over F_{q^4}.
 
     G is generated by sigma (the q^2-power Frobenius), y -> y + kappa
     (kappa in ker F and in k) and x -> zeta * x (zeta in k, zeta^d = 1);
-    the orders are constant on its orbits (module docstring).  One
-    `order_sequence` per orbit is copied to every image
-    (zeta * sigma^e(x), sigma^e(y) + kappa); the first point of each
-    orbit in enumeration order is its representative.  An image that is
-    not an enumerated point raises RuntimeError, so a map outside G
-    cannot fill the result.  The exhaustive map, one `order_sequence`
-    per point, is only the test oracle.
+    the orders are constant on its orbits (module docstring).  The
+    representative is the first point of its orbit in enumeration order;
+    size counts the distinct images (zeta * sigma^e(x), sigma^e(y) + kappa),
+    which repeat at x = 0 and at sigma-fixed points.  An image that is not
+    an unseen enumerated point raises RuntimeError, so a map outside G
+    cannot fill the table, and the orbits partition the points.
     """
     t = curve.tower
     roots, kernel = _orbit_group(curve)
-    out = dict.fromkeys(curve.enumerate_points(4))
-    for P, seen in out.items():
-        if seen is not None:
+    points = curve.enumerate_points(4)
+    unseen = set(points)
+    out = {}
+    for P in points:
+        if P not in unseen:
             continue
-        orders = order_sequence(curve, P).orders
-        if P.is_infinity:
-            out[P] = orders
-            continue
-        for R in (P, curve.frobenius(P)):
-            for zeta in roots:
-                x = t.mul(zeta, R.x)
-                for kappa in kernel:
-                    image = Point(x, t.add(R.y, kappa))
-                    if image not in out:
-                        raise RuntimeError(f"orbit image {image} of {P} is not on the curve")
-                    out[image] = orders
+        orbit = {P} if P.is_infinity else {
+            Point(t.mul(zeta, R.x), t.add(R.y, kappa))
+            for R in (P, curve.frobenius(P)) for zeta in roots for kappa in kernel}
+        if not orbit <= unseen:
+            raise RuntimeError(f"orbit image {min(orbit - unseen, key=repr)} of {P} "
+                               "is not on the curve or lies in an earlier orbit")
+        unseen -= orbit
+        out[P] = (order_sequence(curve, P).orders, len(orbit))
     return out
 
 
@@ -308,56 +310,48 @@ class RamificationReport:
     all_ok: bool
 
 
-def ramification_audit(curve: CurveModel,
-                       orders: dict[Point, tuple[int, ...]]) -> RamificationReport:
-    """Audit the identities at every point, reading `order_sequences(curve)`."""
+def ramification_audit(curve: CurveModel, orders: OrbitTable) -> RamificationReport:
+    """Audit the identities at every point, once per `order_sequences` orbit."""
     info = linear_system_info(curve)
     if curve.family != "hermitian-type":
         raise ValueError("the ramification audit supports the trace family only")
     if info.n < 2:
         raise ValueError("the audit needs projective dimension at least 3")
-    tower = curve.tower
-    q = tower.q
+    q = curve.tower.q
     n = info.n
     m = curve.d
     g = curve.genus
-
-    rational = list(curve.enumerate_points(2))
-    ramified = [P for P in rational if P.is_infinity or P.x == 0]
-    t1 = len(ramified)
-    t2 = len(rational) - t1
-    t1_ok = t1 == q + 1 and all(curve.is_rational(P) for P in ramified)
-    euler_ok = 2 * g - 2 == -2 * m + (m - 1) * t1
 
     w1_num = n * ((n - 1) * m - n - 1)
     if w1_num % 2:
         raise RuntimeError("ramified weight is not an integer")
     w1 = w1_num // 2 + 2
     w2 = 1
-    weight_sum_ok = w1 * t1 + w2 * t2 == info.ramification_degree
 
     eps = info.epsilon_orders
     nus = info.frobenius_orders
-    expected_ram = orders[INFINITY]
+    expected_ram = orders[INFINITY][0]
     expected_unram = tuple(range(n + 1)) + (q + 1,)
 
-    ram_ok = True
-    unram_ok = True
-    frob_sum = 0
-    for P in rational:
-        seq = orders[P]
+    t1 = t2 = nonrational = frob_sum = 0
+    ram_ok = unram_ok = generic_ok = True
+    for P, (seq, size) in orders.items():
+        if not curve.is_rational(P):
+            nonrational += size
+            generic_ok = generic_ok and seq == eps
+            continue
         jw = sum(a - b for a, b in zip(seq, eps))
-        frob_sum += sum(seq[i + 1] - nus[i] for i in range(n + 1))
-        if P in ramified:
-            if seq != expected_ram or jw != w1:
-                ram_ok = False
+        frob_sum += size * sum(seq[i + 1] - nus[i] for i in range(n + 1))
+        if P.is_infinity or P.x == 0:
+            t1 += size
+            ram_ok = ram_ok and seq == expected_ram and jw == w1
         else:
-            if seq != expected_unram or jw != w2:
-                unram_ok = False
+            t2 += size
+            unram_ok = unram_ok and seq == expected_unram and jw == w2
+    t1_ok = t1 == q + 1
+    euler_ok = 2 * g - 2 == -2 * m + (m - 1) * t1
+    weight_sum_ok = w1 * t1 + w2 * t2 == info.ramification_degree
     frob_ok = frob_sum == info.frobenius_divisor_degree
-
-    nonrational = [seq for P, seq in orders.items() if not curve.is_rational(P)]
-    generic_ok = all(seq == eps for seq in nonrational)
 
     census_ok = _fiber_census(curve)
 
@@ -374,7 +368,7 @@ def ramification_audit(curve: CurveModel,
         unramified_orders_ok=unram_ok,
         frobenius_sum_ok=frob_ok,
         nonrational_generic_ok=generic_ok,
-        nonrational_checked=len(nonrational),
+        nonrational_checked=nonrational,
         fiber_census_ok=census_ok,
         all_ok=all_ok,
     )
@@ -392,13 +386,12 @@ class OrderCensus:
     ok: bool
 
 
-def order_census(curve: CurveModel,
-                 orders: dict[Point, tuple[int, ...]]) -> OrderCensus:
+def order_census(curve: CurveModel, orders: OrbitTable) -> OrderCensus:
     """Check j_1 = 1 everywhere and the rational/non-rational top split.
 
     The top order is q+1 exactly at rational points and q elsewhere, so
     the Weierstrass locus of the system is the set of rational points.
-    Every point of `order_sequences(curve)` is checked.
+    Each orbit of `order_sequences(curve)` is checked once, counted by size.
     """
     q = curve.tower.q
     n = rr_basis(curve, q + 1).dimension - 2
@@ -407,7 +400,7 @@ def order_census(curve: CurveModel,
     rat_top = True
     nonrat_top = True
     wp_match = True
-    for P, seq in orders.items():
+    for P, (seq, _) in orders.items():
         if seq[1] != 1:
             j1_ok = False
         rational = curve.is_rational(P)
@@ -419,7 +412,7 @@ def order_census(curve: CurveModel,
             wp_match = False
     ok = j1_ok and rat_top and nonrat_top and wp_match
     return OrderCensus(
-        points=len(orders),
+        points=sum(size for _, size in orders.values()),
         j1_all_one=j1_ok,
         rational_top_ok=rat_top,
         nonrational_top_ok=nonrat_top,

@@ -1,9 +1,17 @@
-"""Session fixtures: the small towers and the worked curve instances."""
+"""Session fixtures: the small towers, the worked curve instances, and the
+slow order-sequence oracles."""
 
 import pytest
 from hypothesis import settings
 
-from maxcurves import build_tower, define_curve, hermitian_curve
+from maxcurves import (
+    Point,
+    build_tower,
+    define_curve,
+    hermitian_curve,
+    order_sequence,
+    weierstrass,
+)
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -90,3 +98,59 @@ def add45(t4):
 def nonmax(t3):
     """y^3 + y = x^7 over F_9: valid model, far from maximal (10 points)."""
     return define_curve(t3, (1, 1), 7)
+
+
+# ---------------------------------------------------------------------------
+# the slow order-sequence oracles
+# ---------------------------------------------------------------------------
+
+def _orbit(curve, P):
+    """The orbit of P, closed under sigma and the maps of _orbit_group one at a time."""
+    if P.is_infinity:
+        return {P}
+    t = curve.tower
+    roots, kernel = weierstrass._orbit_group(curve)
+    orbit, todo = {P}, [P]
+    while todo:
+        R = todo.pop()
+        steps = ([curve.frobenius(R)] + [Point(t.mul(zeta, R.x), R.y) for zeta in roots]
+                 + [Point(R.x, t.add(R.y, kappa)) for kappa in kernel])
+        for S in steps:
+            if S not in orbit:
+                orbit.add(S)
+                todo.append(S)
+    return orbit
+
+
+@pytest.fixture(scope="session")
+def exhaustive_orders():
+    """{P: orders} by one order_sequence per point over F_{q^4}, kept per curve."""
+    cache = {}
+
+    def orders(curve):
+        key = (curve.tower, curve.f_coeffs, curve.d)
+        if key not in cache:
+            cache[key] = {P: order_sequence(curve, P).orders
+                          for P in curve.enumerate_points(4)}
+        return cache[key]
+    return orders
+
+
+@pytest.fixture(scope="session")
+def check_orbit_table(exhaustive_orders):
+    """Assert that an order_sequences table is the orbit fold of the oracle.
+
+    The orbits of the representatives must partition the points over
+    F_{q^4}, have the recorded sizes, and carry the oracle's orders at
+    every point.
+    """
+    def check(curve, table):
+        oracle = exhaustive_orders(curve)
+        covered = set()
+        for P, (orders, size) in table.items():
+            orbit = _orbit(curve, P)
+            assert len(orbit) == size and not orbit & covered, (curve, P)
+            assert all(oracle[Q] == orders for Q in orbit), (curve, P)
+            covered |= orbit
+        assert covered == oracle.keys(), curve
+    return check

@@ -26,8 +26,12 @@ from maxcurves import (
     dichotomy_check,
     embedding_check,
     genus_interval_classify,
+    hermitian_curve,
     normalize_model,
+    order_census,
+    order_sequences,
     quarter_genus_check,
+    ramification_audit,
 )
 
 
@@ -253,7 +257,7 @@ def test_quarter_genus_needs_odd_q(t4):
 
 def test_embedding_rationality(h32, h23, h43, h35):
     for curve in (h32, h23, h43, h35):
-        rep = embedding_check(curve)
+        rep = embedding_check(curve, order_sequences(curve))
         assert rep.ok
         assert rep.matches and rep.infinity_ok
         assert rep.points_checked == curve.count(4) - 1
@@ -263,9 +267,9 @@ def test_embedding_rationality(h32, h23, h43, h35):
 
 def test_embedding_preconditions(add45, nonmax):
     with pytest.raises(ValueError):
-        embedding_check(add45)  # n * d = 10 != q + 1
+        embedding_check(add45, order_sequences(add45))  # n * d = 10 != q + 1
     with pytest.raises(ValueError):
-        embedding_check(nonmax)  # not the trace family
+        embedding_check(nonmax, order_sequences(nonmax))  # not the trace family
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +319,7 @@ def test_audit_verdict_needs_every_check(h23, monkeypatch, name, spoil):
     assert audit(h23).all_identities is False
 
 
-def test_audit_computes_each_order_sequence_once(h35, monkeypatch):
+def test_audit_computes_each_order_sequence_once(h35, monkeypatch, check_orbit_table):
     # one order_sequence per orbit of G: 18 orbits among the 426 points
     import maxcurves.verdicts as verdicts
     import maxcurves.weierstrass as weierstrass
@@ -338,8 +342,38 @@ def test_audit_computes_each_order_sequence_once(h35, monkeypatch):
     assert rep.all_identities
     assert len(seen) == len(set(seen)) == 18
     assert rep.ramification.nonrational_checked == 426 - 66
-    oracle = {P: sequence(h35, P).orders for P in h35.enumerate_points(4)}
-    assert len(maps) == 1 and maps[0] == oracle
+    assert len(maps) == 1
+    table = maps[0]
+    assert len(table) == 18
+    assert sum(size for _, size in table.values()) == 426
+    check_orbit_table(h35, table)
+
+
+def _read(reader, curve, table):
+    try:
+        return reader(curve, table)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_readers_agree_on_any_orbit_partition(h23, h25, h35, add45, nonmax, t7,
+                                              exhaustive_orders):
+    # the orbit table and the trivial one, {P: (exhaustive orders, 1)},
+    # must give every reader the same report or the same ValueError
+    readers = (ramification_audit, order_census, embedding_check)
+    h87 = hermitian_curve(t7, 8)
+    raises = {h87: (True, False, False),  # n = 1: no unramified weight split
+              add45: (True, False, True),  # not the trace family, n * d != q + 1
+              nonmax: (True, False, True)}  # not maximal, not the trace family
+    for curve in (h23, h25, h35, hermitian_curve(t7, 4), h87, add45, nonmax):
+        table = order_sequences(curve)
+        trivial = {P: (orders, 1) for P, orders in exhaustive_orders(curve).items()}
+        assert len(table) < len(trivial), curve
+        reports = [(_read(r, curve, table), _read(r, curve, trivial)) for r in readers]
+        for orbit_report, trivial_report in reports:
+            assert orbit_report == trivial_report, curve
+        raised = tuple(isinstance(report, tuple) for report, _ in reports)
+        assert raised == raises.get(curve, (False, False, False)), curve
 
 
 # ---------------------------------------------------------------------------
