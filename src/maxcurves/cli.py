@@ -144,7 +144,8 @@ def cmd_curve(args) -> tuple[dict, int]:
         "counts": counts,
         "bounds": to_json(bounds_report(curve), tower),
     }
-    return out, EXIT_OK
+    ok = counts.get("quartic_matches_prediction", True)  # unset off maximal curves
+    return out, EXIT_OK if ok else EXIT_IDENTITY
 
 
 def cmd_audit(args) -> tuple[dict, int]:

@@ -1,21 +1,24 @@
 """Plane models F(y) = x^d over k = F_{q^2} with F additive.
 
 F(T) = sum a_i T^(p^i) is F_p-linear with a_0 != 0, so every affine
-fiber of x is smooth and is a coset of ker F.  One fiber table per
-level holds a preimage of each value of F and the kernel; point
-counts come from it and the log table alone and build no points.  On
-the cyclic unit group of a level of order Q, x -> x^d is g-to-1 onto
-the exp[k] with k = 0 mod s*g, where g = gcd(d, Q - 1) and
-s = (q^4 - 1)/(Q - 1), so the count is
+fiber of x is smooth and is a coset of ker F.  Point counts build no
+points.  On the cyclic unit group of a level of order Q, x -> x^d is
+g-to-1 onto the exp[k] with k = 0 mod s*g, where g = gcd(d, Q - 1)
+and s = (q^4 - 1)/(Q - 1), so the count is
 1 + |ker F| * (1 + g * #{z in F(level) : z != 0, log z = 0 mod s*g}),
-one pass over the values of F, memoized per level.  At level 2, when
-the d-th powers and 0 form a subfield L = F_{p^j} (that is, when
-(q^2 - 1)/g + 1 = p^j; d = q + 1 gives L = F_q), the count needs no
-fiber table: it is 1 + p^(2a - r) * (1 + g * (p^(r + j - r') - 1)),
+memoized per level.  At level 4 it walks the (q^4 - 1)/g d-th powers
+exp[::g] with no table of F: z is a value of F iff its residue modulo
+the echelon pivots of F(p^0), ..., F(p^(4a-1)) is 0 (their rank r
+gives |ker F| = p^(4a - r)), and that F_p-linear residue is read from
+two tables of q^2 entries, lo[z % q^2] == hi[z // q^2] (hi negated).
+At level 2, when the d-th powers and 0 form a subfield L = F_{p^j}
+(that is, when (q^2 - 1)/g + 1 = p^j; d = q + 1 gives L = F_q), the
+count is 1 + p^(2a - r) * (1 + g * (p^(r + j - r') - 1)),
 with r the F_p-rank of F(1), F(xi), ..., F(xi^(2a-1)) (so
 |ker F| = p^(2a - r)) and r' the rank of those vectors together with
 the basis 1, eta, ..., eta^(j-1) of L, eta = xi^g (so
-|F(k) & L| = p^(r + j - r')).
+|F(k) & L| = p^(r + j - r')); otherwise it reads the values of F from
+a fiber table, one preimage per value plus the kernel.
 `enumerate_points` lists the cosets for the callers that need the
 points themselves.  The family tagged "hermitian-type" is
 y^q + y = x^m with m dividing q + 1; m = q + 1 gives the Hermitian
@@ -29,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd
 
-from .field_tower import FieldTower
+from .field_tower import FieldTower, _linear_table
 
 
 @dataclass(frozen=True)
@@ -71,25 +74,41 @@ def _span(tower: FieldTower, vectors) -> list[int]:
     return out
 
 
-def _fp_rank(tower: FieldTower, vectors, pivots: dict[int, int]) -> int:
-    """Add the vectors that are F_p-independent of `pivots`; return how many.
+def _reduce(tower: FieldTower, v: int, pivots: dict[int, int], powers) -> tuple[int, int]:
+    """Reduce v until its top digit sits off the pivots; return v and that
+    position.  pivots maps a digit position to the basis vector whose top
+    nonzero digit sits there and is 1; powers[i] = p^i."""
+    while v:
+        top = bisect_right(powers, v) - 1
+        b = pivots.get(top)
+        if b is None:
+            return v, top
+        lead = v // powers[top]
+        v = tower.sub(v, b if lead == 1 else tower.mul(lead, b))  # p = 2: lead is 1
+    return 0, 0
 
-    pivots maps a digit position to the basis vector whose top nonzero
-    digit sits there and is 1; reducing v by it clears v's top digit.
-    """
+
+def _fp_rank(tower: FieldTower, vectors, pivots: dict[int, int]) -> int:
+    """Add the vectors that are F_p-independent of `pivots`; return how many."""
     powers = [tower.p ** i for i in range(tower.degree)]
     added = 0
     for v in vectors:
-        while v:
-            top = bisect_right(powers, v) - 1
-            lead = v // powers[top]
-            b = pivots.get(top)
-            if b is None:
-                pivots[top] = tower.div(v, lead)
-                added += 1
-                break
-            v = tower.sub(v, tower.mul(lead, b))
+        v, top = _reduce(tower, v, pivots, powers)
+        if v:
+            pivots[top] = tower.div(v, v // powers[top])
+            added += 1
     return added
+
+
+def _residue(tower: FieldTower, v: int, pivots: dict[int, int]) -> int:
+    """v modulo the span of `pivots`, zero at every pivot digit: F_p-linear."""
+    powers = [tower.p ** i for i in range(tower.degree)]
+    out = 0
+    while v:
+        v, top = _reduce(tower, v, pivots, powers)
+        rest = v % powers[top]  # v's top digit sits off every pivot: keep it
+        out, v = out + v - rest, rest
+    return out
 
 
 class CurveModel:
@@ -175,16 +194,24 @@ class CurveModel:
         return self._counts[level]
 
     def _count(self, level: int) -> int:
-        """The count by ranks or by logs (module docstring); the inner 1 is x = 0."""
+        """The count by residues, ranks or logs (module docstring); the inner 1 is x = 0."""
         t = self.tower
         Q = t.level_order(level)
         g = gcd(self.d, Q - 1)
+        pivots: dict[int, int] = {}
+        if level == 4:
+            r = _fp_rank(t, [self.f_eval(t.p ** i) for i in range(t.degree)], pivots)
+            h = t.q2
+            res = [t.coeffs(_residue(t, t.p ** i, pivots)) for i in range(t.degree)]
+            lo = _linear_table(res[:2 * t.a], t.p, t.p, t.p)
+            hi = _linear_table([[-c % t.p for c in v] for v in res[2 * t.a:]], t.p, t.p, t.p)
+            hits = sum(1 for z in t._exp[::g] if lo[z % h] == hi[z // h])
+            return 1 + t.p ** (t.degree - r) * (1 + g * hits)
         size = (Q - 1) // g + 1  # the d-th powers and 0
         j = 0
         while t.p ** j < size:
             j += 1
         if level == 2 and t.p ** j == size:
-            pivots: dict[int, int] = {}
             r = _fp_rank(t, [self.f_eval(t.pow(t.xi, i)) for i in range(2 * t.a)], pivots)
             eta = t.pow(t.xi, g)
             r2 = r + _fp_rank(t, [t.pow(eta, i) for i in range(j)], pivots)

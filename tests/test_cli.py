@@ -3,15 +3,20 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
-import tomllib
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from maxcurves import cli
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10
+    tomllib = None
+
+from maxcurves import CurveModel, Point, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -71,6 +76,38 @@ def test_curve_emit_csv(capsys, tmp_path):
     assert lines[0] == "x,y,level"
     assert len(lines) == 17
     assert lines[-1] == "inf,inf,1"
+
+
+def test_curve_emit_level_4_after_table_free_count(capsys, tmp_path, h23):
+    # the count runs first without a fiber table; the listing builds one
+    path = tmp_path / "pts4.csv"
+    rc, doc = run_json(capsys, "curve", "--p", "3", "--a", "1", "--hermitian-m", "2",
+                       "--level", "4", "--emit", str(path))
+    assert rc == 0
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    assert rows[0] == ["x", "y", "level"]
+    assert len(rows) == 1 + doc["counts"]["quartic"] == 1 + 64
+    assert rows[-1] == ["inf", "inf", "1"]
+    t = h23.tower
+    pts = [Point(t.parse_element(x), t.parse_element(y)) for x, y, _ in rows[1:-1]]
+    assert len(set(pts)) == len(pts)
+    assert all(h23.on_curve(P) for P in pts)
+    assert {row[2] for row in rows[1:-1]} == {"1", "2", "4"}
+
+
+def test_curve_wrong_quartic_count_exits_1(capsys, monkeypatch):
+    real = CurveModel.count
+    monkeypatch.setattr(CurveModel, "count",
+                        lambda self, level: real(self, level) + (level == 4))
+    rc, doc = run_json(capsys, "curve", "--p", "3", "--a", "1", "--hermitian-m", "2")
+    assert rc == 1
+    assert doc["counts"]["quartic"] == 65
+    assert doc["counts"]["quartic_matches_prediction"] is False
+    # a non-maximal curve has no prediction to miss
+    rc, doc = run_json(capsys, "curve", "--p", "3", "--a", "1",
+                       "--additive", "1,1", "--d", "7")
+    assert rc == 0
+    assert "quartic_matches_prediction" not in doc["counts"]
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +295,11 @@ def test_entry_points():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["counts"]["rational"] == 9
     # the installed console script points at the same function
-    with open(ROOT / "pyproject.toml", "rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"]["maxcurves"]
+    text = (ROOT / "pyproject.toml").read_text()
+    if tomllib:
+        target = tomllib.loads(text)["project"]["scripts"]["maxcurves"]
+    else:
+        scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+        target = re.search(r'^maxcurves\s*=\s*"([^"]+)"', scripts, re.M).group(1)
     module, _, attr = target.partition(":")
     assert getattr(importlib.import_module(module), attr) is cli.main

@@ -150,6 +150,8 @@ def test_count_builds_no_points_and_matches_enumeration(request, tower, d):
         curve = define_curve(t, (1, 1), d)
         n = curve.count(level)
         assert not curve._points
+        if level == 4:
+            assert 4 not in curve._fibers
         assert n == len(curve.enumerate_points(level))
         curve = define_curve(t, (1, 1), d)
         n = len(curve.enumerate_points(level))
@@ -172,17 +174,20 @@ def test_count_by_logs_matches_direct_pass_on_fixtures(request, name):
     curve = request.getfixturevalue(name)
     for level in (2, 4):
         assert curve._count(level) == direct_count(curve, level)
+    assert_quartic_count(curve.tower, curve.f_coeffs, curve.d)
 
 
 # y^p + y = x^d; gcd(d, Q - 1) < d for d = 7, 10 over q = 3 and d = 9 over q = 5
 @pytest.mark.parametrize("tower,d", [("t3", 2), ("t5", 3), ("t4", 5), ("t3", 7),
-                                     ("t3", 10), ("t5", 9)],
-                         ids=["h23", "h35", "add45", "nonmax", "q3d10", "q5d9"])
+                                     ("t3", 10), ("t5", 9), ("t3", 1), ("t8", 1)],
+                         ids=["h23", "h35", "add45", "nonmax", "q3d10", "q5d9",
+                              "q3d1", "q8d1"])
 def test_count_by_logs_matches_direct_pass(request, tower, d):
     t = request.getfixturevalue(tower)
     curve = define_curve(t, (1, 1), d)
     for level in (2, 4):
         assert curve.count(level) == direct_count(curve, level)
+    assert_quartic_count(t, (1, 1), d)
 
 
 def log_count(curve, level):
@@ -204,6 +209,15 @@ def assert_rank_count(t, coeffs, d):
     assert n == log_count(curve, 2)
 
 
+def assert_quartic_count(t, coeffs, d):
+    """A fresh curve counts level 4 by residues, without a fiber table, as
+    the logs and the direct pass over the fiber table do."""
+    curve = define_curve(t, coeffs, d)
+    n = curve.count(4)
+    assert 4 not in curve._fibers and not curve._points
+    assert n == log_count(curve, 4) == direct_count(curve, 4)
+
+
 @pytest.mark.parametrize("tower,m1", [("t4", 2), ("t8", 2), ("t8", 4), ("t9", 3),
                                       ("t9", 9), ("t16", 2)])
 def test_rank_count_matches_logs_on_every_scanned_candidate(monkeypatch, request,
@@ -222,9 +236,10 @@ def test_rank_count_matches_logs_on_every_scanned_candidate(monkeypatch, request
         assert_rank_count(t, coeffs, t.q + 1)
 
 
-# d = q + 1 (L = F_q), (q^2 - 1)/(p - 1) (L = F_p) and prime to q^2 - 1 (L = k)
+# d = q + 1 (L = F_q), (q^2 - 1)/(p - 1) (L = F_p) and prime to q^2 - 1 (L = k);
+# every tower with q^4 <= 2^16, level 2 by ranks and level 4 by residues
 @pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
-                                 (3, 2), (2, 4)], ids=str)
+                                 (3, 2), (2, 4), (11, 1), (13, 1)], ids=str)
 def test_rank_count_matches_logs_on_random_curves(p, a):
     t = build_tower(p, a)
     q2 = t.q2
@@ -238,6 +253,29 @@ def test_rank_count_matches_logs_on_random_curves(p, a):
             coeffs[0] = coeffs[0] or 1
             coeffs[-1] = coeffs[-1] or 1
             assert_rank_count(t, coeffs, d)
+            assert_quartic_count(t, coeffs, d)
+
+
+def test_quartic_count_with_a_middle_coefficient(t16):
+    # F = T^4 + T over q = 16: p < deg F < q, a zero coefficient in the middle
+    assert_quartic_count(t16, (1, 0, 1), 17)
+
+
+def test_curve_command_builds_no_quartic_table(monkeypatch, capsys):
+    levels = []
+    real = CurveModel._fiber_table
+
+    def recording(self, level):
+        levels.append(level)
+        return real(self, level)
+
+    monkeypatch.setattr(CurveModel, "_fiber_table", recording)
+    for argv in (["--p", "3", "--a", "1", "--hermitian-m", "2"],
+                 ["--p", "2", "--a", "3", "--additive", "1,1", "--d", "3"],
+                 ["--p", "3", "--a", "1", "--additive", "1,1", "--d", "7"]):
+        assert cli.main(["curve", *argv]) == 0
+    capsys.readouterr()
+    assert 4 not in levels
 
 
 def test_count_by_logs_when_the_powers_are_no_subfield(t8):
