@@ -17,8 +17,10 @@ count is 1 + p^(2a - r) * (1 + g * (p^(r + j - r') - 1)),
 with r the F_p-rank of F(1), F(xi), ..., F(xi^(2a-1)) (so
 |ker F| = p^(2a - r)) and r' the rank of those vectors together with
 the basis 1, eta, ..., eta^(j-1) of L, eta = xi^g (so
-|F(k) & L| = p^(r + j - r')); otherwise it reads the values of F from
-a fiber table, one preimage per value plus the kernel.
+|F(k) & L| = p^(r + j - r')); otherwise it walks the (q^2 - 1)/g
+d-th powers of k and keeps those whose residue modulo the echelon
+pivots of F(1), ..., F(xi^(2a-1)) is 0.  Neither level builds a fiber
+table to count.
 `enumerate_points` lists the cosets for the callers that need the
 points themselves.  The family tagged "hermitian-type" is
 y^q + y = x^m with m dividing q + 1; m = q + 1 gives the Hermitian
@@ -194,7 +196,7 @@ class CurveModel:
         return self._counts[level]
 
     def _count(self, level: int) -> int:
-        """The count by residues, ranks or logs (module docstring); the inner 1 is x = 0."""
+        """The count by residues or ranks (module docstring); the inner 1 is x = 0."""
         t = self.tower
         Q = t.level_order(level)
         g = gcd(self.d, Q - 1)
@@ -207,20 +209,21 @@ class CurveModel:
             hi = _linear_table([[-c % t.p for c in v] for v in res[2 * t.a:]], t.p, t.p, t.p)
             hits = sum(1 for z in t._exp[::g] if lo[z % h] == hi[z // h])
             return 1 + t.p ** (t.degree - r) * (1 + g * hits)
+        if level != 2:
+            raise ValueError("points are counted over levels 2 and 4")
+        r = _fp_rank(t, [self.f_eval(t.pow(t.xi, i)) for i in range(2 * t.a)], pivots)
         size = (Q - 1) // g + 1  # the d-th powers and 0
         j = 0
         while t.p ** j < size:
             j += 1
-        if level == 2 and t.p ** j == size:
-            r = _fp_rank(t, [self.f_eval(t.pow(t.xi, i)) for i in range(2 * t.a)], pivots)
+        if t.p ** j == size:
             eta = t.pow(t.xi, g)
             r2 = r + _fp_rank(t, [t.pow(eta, i) for i in range(j)], pivots)
             return 1 + t.p ** (2 * t.a - r) * (1 + g * (t.p ** (r + j - r2) - 1))
-        solmap, kernel = self._fiber_table(level)
+        powers = [t.p ** i for i in range(t.degree)]
         step = (t.order - 1) // (Q - 1) * g
-        log = t._log
-        powers = sum(1 for z in solmap if z and log[z] % step == 0)
-        return 1 + len(kernel) * (1 + g * powers)
+        hits = sum(1 for z in t._exp[::step] if _reduce(t, z, pivots, powers)[0] == 0)
+        return 1 + t.p ** (2 * t.a - r) * (1 + g * hits)
 
     # -- maximality --------------------------------------------------------------
 

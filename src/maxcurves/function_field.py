@@ -1,6 +1,10 @@
-"""Function field arithmetic for curves F(y) = x^d.
+"""Polynomial functions on curves F(y) = x^d.
 
-Elements are kept in the reduced form sum c_ij x^i y^j with j < deg F,
+Every function used here lies in some L(lambda * P_infinity): order
+sequences, one-point codes and Weierstrass semigroups all live there,
+and since x and y have poles only at P_infinity these spaces are
+spanned by polynomials in x and y, so no quotients are kept.
+Elements are in the reduced form sum c_ij x^i y^j with j < deg F,
 using the relation a_e y^(deg F) = x^d - sum_{i<e} a_i y^(p^i).
 Since gcd(d, deg F) = 1 the monomial weights i*deg F + j*d are distinct,
 so the pole order at the place at infinity is read off the support.
@@ -22,10 +26,6 @@ from math import comb
 from .curve_model import CurveModel, Point
 from .field_tower import PrecisionError
 from .linalg import row_echelon
-
-
-def default_precision(curve: CurveModel) -> int:
-    return 4 * (curve.tower.q + 1)
 
 
 def max_precision(curve: CurveModel) -> int:
@@ -98,14 +98,17 @@ def _top_weight(curve: CurveModel, terms) -> int:
 
 
 class FuncElement:
-    """A function num/den on the curve, both parts in reduced form."""
+    """A polynomial in x and y on the curve, kept in reduced form.
 
-    __slots__ = ("curve", "num", "den")
+    x and y have poles only at P_infinity, so these are exactly the
+    functions of the spaces L(lambda * P_infinity) that every caller uses.
+    """
 
-    def __init__(self, curve: CurveModel, num, den=None):
+    __slots__ = ("curve", "num")
+
+    def __init__(self, curve: CurveModel, num):
         self.curve = curve
         self.num = num
-        self.den = den  # None encodes the constant 1
 
     # -- structure -----------------------------------------------------------
 
@@ -113,15 +116,10 @@ class FuncElement:
     def is_zero(self) -> bool:
         return not self.num
 
-    def _den_dict(self):
-        return self.den if self.den is not None else {(0, 0): 1}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FuncElement) or other.curve is not self.curve:
             return NotImplemented
-        lhs = _dict_mul(self.curve, self.num, other._den_dict())
-        rhs = _dict_mul(self.curve, other.num, self._den_dict())
-        return lhs == rhs
+        return self.num == other.num
 
     def __hash__(self):
         raise TypeError("FuncElement is unhashable")
@@ -129,43 +127,23 @@ class FuncElement:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "FuncElement") -> "FuncElement":
-        c = self.curve
-        if self.den is None and other.den is None:
-            return FuncElement(c, _dict_add(c.tower, self.num, other.num))
-        num = _dict_add(
-            c.tower,
-            _dict_mul(c, self.num, other._den_dict()),
-            _dict_mul(c, other.num, self._den_dict()),
-        )
-        den = _dict_mul(c, self._den_dict(), other._den_dict())
-        return FuncElement(c, num, den if den != {(0, 0): 1} else None)
+        return FuncElement(self.curve, _dict_add(self.curve.tower, self.num, other.num))
 
     def __neg__(self) -> "FuncElement":
         t = self.curve.tower
-        return FuncElement(self.curve, {ij: t.neg(v) for ij, v in self.num.items()}, self.den)
+        return FuncElement(self.curve, {ij: t.neg(v) for ij, v in self.num.items()})
 
     def __sub__(self, other: "FuncElement") -> "FuncElement":
         return self + (-other)
 
     def __mul__(self, other: "FuncElement") -> "FuncElement":
-        c = self.curve
-        num = _dict_mul(c, self.num, other.num)
-        if self.den is None and other.den is None:
-            return FuncElement(c, num)
-        den = _dict_mul(c, self._den_dict(), other._den_dict())
-        return FuncElement(c, num, den if den != {(0, 0): 1} else None)
-
-    def __truediv__(self, other: "FuncElement") -> "FuncElement":
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero function")
-        c = self.curve
-        num = _dict_mul(c, self.num, other._den_dict())
-        den = _dict_mul(c, self._den_dict(), other.num)
-        return FuncElement(c, num, den if den != {(0, 0): 1} else None)
+        return FuncElement(self.curve, _dict_mul(self.curve, self.num, other.num))
 
     def __pow__(self, e: int) -> "FuncElement":
         if e < 0:
-            return FuncElement(self.curve, {(0, 0): 1}) / self ** (-e)
+            # x and y have no inverses among polynomials; without this check
+            # the square-and-multiply loop below would never end
+            raise ValueError("only non-negative powers of a polynomial are defined")
         r = FuncElement(self.curve, {(0, 0): 1})
         b = self
         while e:
@@ -176,34 +154,15 @@ class FuncElement:
         return r
 
     def scaled(self, c: int) -> "FuncElement":
-        return FuncElement(self.curve, _dict_scale(self.curve.tower, self.num, c), self.den)
-
-    # -- reporting ---------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        t = self.curve.tower
-
-        def part(terms):
-            return [
-                {"i": i, "j": j, "coeff": t.digits(c)}
-                for (i, j), c in sorted(terms.items())
-            ]
-
-        return {"num": part(self.num), "den": None if self.den is None else part(self.den)}
+        return FuncElement(self.curve, _dict_scale(self.curve.tower, self.num, c))
 
     def __repr__(self) -> str:
-        return f"FuncElement({sorted(self.num.items())}, den={None if self.den is None else sorted(self.den.items())})"
+        return f"FuncElement({sorted(self.num.items())})"
 
 
-def normal_form(curve: CurveModel, terms, den_terms=None) -> FuncElement:
+def normal_form(curve: CurveModel, terms) -> FuncElement:
     """Reduce a raw {(i, j): coeff} expression to canonical form."""
-    num = _reduce(curve, dict(terms))
-    den = None
-    if den_terms is not None:
-        den = _reduce(curve, dict(den_terms))
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-    return FuncElement(curve, num, den)
+    return FuncElement(curve, _reduce(curve, dict(terms)))
 
 
 def x_of(curve: CurveModel) -> FuncElement:
@@ -219,24 +178,14 @@ def const(curve: CurveModel, c: int) -> FuncElement:
 
 
 def evaluate(f: FuncElement, P: Point) -> int:
-    """Value of f at an affine point where the denominator does not vanish."""
+    """Value of f at an affine point."""
     if P.is_infinity:
         raise ValueError("evaluation at infinity is a pole-order question")
     t = f.curve.tower
-
-    def val(terms):
-        acc = 0
-        for (i, j), c in terms.items():
-            acc = t.add(acc, t.mul(c, t.mul(t.pow(P.x, i), t.pow(P.y, j))))
-        return acc
-
-    num = val(f.num)
-    if f.den is None:
-        return num
-    den = val(f.den)
-    if den == 0:
-        raise ValueError("denominator vanishes at the point; use valuations")
-    return t.mul(num, t.inv(den))
+    acc = 0
+    for (i, j), c in f.num.items():
+        acc = t.add(acc, t.mul(c, t.mul(t.pow(P.x, i), t.pow(P.y, j))))
+    return acc
 
 
 def valuation_at_infinity(f: FuncElement) -> int:
@@ -247,29 +196,12 @@ def valuation_at_infinity(f: FuncElement) -> int:
     """
     if f.is_zero:
         raise ValueError("the zero function has no valuation")
-    return _top_weight(f.curve, f._den_dict()) - _top_weight(f.curve, f.num)
+    return -_top_weight(f.curve, f.num)
 
 
 # ---------------------------------------------------------------------------
 # local power series at affine points
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LocalSeries:
-    """Truncated expansion sum coeffs[i] t^i at an affine point."""
-
-    point: Point
-    coeffs: tuple[int, ...]
-
-    @property
-    def precision(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def valuation(self) -> int | None:
-        """Index of the first nonzero coefficient, or None if unresolved."""
-        return _first_nonzero(self.coeffs)
-
 
 def _ser_mul(t, a, b, n):
     out = [0] * n
@@ -280,20 +212,6 @@ def _ser_mul(t, a, b, n):
                 bj = b[j]
                 if bj:
                     out[i + j] = t.add(out[i + j], t.mul(ai, bj))
-    return out
-
-
-def _ser_inv(t, s, n):
-    if s[0] == 0:
-        raise ZeroDivisionError("series is not a unit")
-    inv0 = t.inv(s[0])
-    out = [inv0] + [0] * (n - 1)
-    for k in range(1, n):
-        acc = 0
-        for i in range(1, min(k, len(s) - 1) + 1):
-            if s[i]:
-                acc = t.add(acc, t.mul(s[i], out[k - i]))
-        out[k] = t.neg(t.mul(inv0, acc))
     return out
 
 
@@ -342,53 +260,11 @@ def monomial_series(curve: CurveModel, P: Point, monos, prec: int) -> list[list[
     return [_ser_mul(t, xpow[i], ypow[j], prec) for i, j in monos]
 
 
-def _expand(curve: CurveModel, P: Point, parts, prec: int) -> list[list[int]]:
-    """Expansions of the polynomials in parts to prec terms, from one y development."""
-    t = curve.tower
-    monos = sorted(set().union(*parts))
-    rows = dict(zip(monos, monomial_series(curve, P, monos, prec)))
-    out = []
-    for terms in parts:
-        s = [0] * prec
-        for ij, c in terms.items():
-            s = [t.add(a, t.mul(c, v)) for a, v in zip(s, rows[ij])]
-        out.append(s)
-    return out
-
-
-def _first_nonzero(series) -> int | None:
-    return next((i for i, c in enumerate(series) if c), None)
-
-
-def local_expansion(P: Point, f: FuncElement, prec: int | None = None) -> LocalSeries:
-    """Expand f in the uniformizer t = x - x(P) at an affine point.
-
-    num and den are expanded to prec + w(den) terms, w the top weight:
-    v_P(den) <= w(den), so prec terms remain past the leading zeros.
-    """
-    curve = f.curve
-    if P.is_infinity:
-        raise ValueError("expansions use the affine uniformizer; infinity is handled by pole orders")
-    if not curve.on_curve(P):
-        raise ValueError("point is not on the curve")
-    if prec is None:
-        prec = default_precision(curve)
-    if prec < 1:
-        raise ValueError("precision must be >= 1")
-    den = f._den_dict()
-    num_s, den_s = _expand(curve, P, [f.num, den], prec + _top_weight(curve, den))
-    v_den = _first_nonzero(den_s)
-    if any(num_s[:v_den]):
-        raise ValueError("function has a pole at the point")
-    t = curve.tower
-    return LocalSeries(P, tuple(_ser_mul(t, num_s[v_den:], _ser_inv(t, den_s[v_den:], prec), prec)))
-
-
 def valuation_at(P: Point, f: FuncElement) -> int:
     """Exact valuation of f at any enumerated place.
 
     A nonzero polynomial of top weight w has v_P <= w, so one expansion
-    of num and den to min(w + 1, max_precision) terms decides both.
+    to min(w + 1, max_precision) terms decides it.
     """
     if f.is_zero:
         raise ValueError("the zero function has no valuation")
@@ -397,12 +273,17 @@ def valuation_at(P: Point, f: FuncElement) -> int:
     curve = f.curve
     if not curve.on_curve(P):
         raise ValueError("point is not on the curve")
-    parts = [f.num, f._den_dict()]
-    prec = min(max(_top_weight(curve, terms) for terms in parts) + 1, max_precision(curve))
-    v_num, v_den = (_first_nonzero(s) for s in _expand(curve, P, parts, prec))
-    if v_num is None or v_den is None:
+    t = curve.tower
+    prec = min(_top_weight(curve, f.num) + 1, max_precision(curve))
+    monos = sorted(f.num)
+    s = [0] * prec
+    for ij, row in zip(monos, monomial_series(curve, P, monos, prec)):
+        c = f.num[ij]
+        s = [t.add(a, t.mul(c, v)) for a, v in zip(s, row)]
+    v = next((i for i, c in enumerate(s) if c), None)
+    if v is None:
         raise PrecisionError(f"valuation unresolved at precision cap {prec}")
-    return v_num - v_den
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +316,6 @@ def rr_basis(curve: CurveModel, lam: int) -> RRBasis:
     monos.sort(key=lambda ij: ij[0] * r + ij[1] * d)
     orders = tuple(i * r + j * d for i, j in monos)
     return RRBasis(lam, tuple(monos), orders)
-
-
-def basis_functions(curve: CurveModel, lam: int) -> list[FuncElement]:
-    return [FuncElement(curve, {ij: 1}) for ij in rr_basis(curve, lam).monomials]
 
 
 # ---------------------------------------------------------------------------

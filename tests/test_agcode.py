@@ -7,13 +7,14 @@ import pytest
 
 from maxcurves import (
     BudgetError,
-    basis_functions,
+    FuncElement,
     build_code,
     evaluate,
     export_matrix,
     min_distance_exact,
     read_matrix_csv,
     read_matrix_json,
+    rr_basis,
 )
 
 
@@ -59,8 +60,8 @@ def test_matrix_rows_are_evaluations(h32):
     code = build_code(h32, 3)
     pts = h32.enumerate_points(2)[:-1]
     assert len(pts) == code.length
-    for row, f in zip(code.matrix, basis_functions(h32, 3)):
-        assert list(row) == [evaluate(f, P) for P in pts]
+    for row, ij in zip(code.matrix, rr_basis(h32, 3).monomials):
+        assert list(row) == [evaluate(FuncElement(h32, {ij: 1}), P) for P in pts]
 
 
 def test_code_validation(h32, nonmax):

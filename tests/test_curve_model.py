@@ -149,9 +149,7 @@ def test_count_builds_no_points_and_matches_enumeration(request, tower, d):
     for level in (2, 4):
         curve = define_curve(t, (1, 1), d)
         n = curve.count(level)
-        assert not curve._points
-        if level == 4:
-            assert 4 not in curve._fibers
+        assert not curve._points and level not in curve._fibers
         assert n == len(curve.enumerate_points(level))
         curve = define_curve(t, (1, 1), d)
         n = len(curve.enumerate_points(level))
@@ -174,6 +172,7 @@ def test_count_by_logs_matches_direct_pass_on_fixtures(request, name):
     curve = request.getfixturevalue(name)
     for level in (2, 4):
         assert curve._count(level) == direct_count(curve, level)
+    assert_rank_count(curve.tower, curve.f_coeffs, curve.d)
     assert_quartic_count(curve.tower, curve.f_coeffs, curve.d)
 
 
@@ -187,6 +186,7 @@ def test_count_by_logs_matches_direct_pass(request, tower, d):
     curve = define_curve(t, (1, 1), d)
     for level in (2, 4):
         assert curve.count(level) == direct_count(curve, level)
+    assert_rank_count(t, (1, 1), d)
     assert_quartic_count(t, (1, 1), d)
 
 
@@ -202,11 +202,12 @@ def log_count(curve, level):
 
 
 def assert_rank_count(t, coeffs, d):
-    """A fresh curve counts level 2 by ranks, without a fiber table, as logs do."""
+    """A fresh curve counts level 2 by ranks or residues, without a fiber
+    table, as the logs and the direct pass over the fiber table do."""
     curve = define_curve(t, coeffs, d)
     n = curve._count(2)
     assert not curve._fibers
-    assert n == log_count(curve, 2)
+    assert n == log_count(curve, 2) == direct_count(curve, 2)
 
 
 def assert_quartic_count(t, coeffs, d):
@@ -236,8 +237,9 @@ def test_rank_count_matches_logs_on_every_scanned_candidate(monkeypatch, request
         assert_rank_count(t, coeffs, t.q + 1)
 
 
-# d = q + 1 (L = F_q), (q^2 - 1)/(p - 1) (L = F_p) and prime to q^2 - 1 (L = k);
-# every tower with q^4 <= 2^16, level 2 by ranks and level 4 by residues
+# d = q + 1 (L = F_q), (q^2 - 1)/(p - 1) (L = F_p), prime to q^2 - 1 (L = k)
+# and 2 or 3 (no subfield but at q = 2: level 2 by residues); every tower
+# with q^4 <= 2^16, level 2 by ranks or residues and level 4 by residues
 @pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
                                  (3, 2), (2, 4), (11, 1), (13, 1)], ids=str)
 def test_rank_count_matches_logs_on_random_curves(p, a):
@@ -246,7 +248,7 @@ def test_rank_count_matches_logs_on_random_curves(p, a):
     coprime = next(d for d in range(2, 4 * q2) if gcd(d, p * (q2 - 1)) == 1)
     rng = random.Random(p * 100 + a)
     level2 = t.elements(2)
-    for d in (t.q + 1, (q2 - 1) // (p - 1), coprime):
+    for d in (t.q + 1, (q2 - 1) // (p - 1), coprime, 3 if p == 2 else 2):
         for _ in range(14):
             e = rng.randint(1, a + 1)
             coeffs = [rng.choice(level2) for _ in range(e + 1)]
@@ -275,14 +277,15 @@ def test_curve_command_builds_no_quartic_table(monkeypatch, capsys):
                  ["--p", "3", "--a", "1", "--additive", "1,1", "--d", "7"]):
         assert cli.main(["curve", *argv]) == 0
     capsys.readouterr()
-    assert 4 not in levels
+    assert not levels
 
 
 def test_count_by_logs_when_the_powers_are_no_subfield(t8):
     # d = 3 at q = 8: the 21 cubes of F_64* and 0 are no subfield
     curve = define_curve(t8, (1, 1), 3)
-    assert curve._count(2) == log_count(curve, 2) == direct_count(curve, 2)
-    assert 2 in curve._fibers
+    n = curve._count(2)
+    assert 2 not in curve._fibers
+    assert n == log_count(curve, 2) == direct_count(curve, 2)
 
 
 def test_count_runs_once_per_level(monkeypatch, capsys, t4):

@@ -109,15 +109,6 @@ def test_tower_report_is_unchanged(p, a):
     assert hashlib.sha256(report.encode()).hexdigest() == TOWER_REPORTS[p, a]
 
 
-def test_explore_script_prints_the_cli_scan_block(capsys):
-    argv = ["--p", "2", "--a", "2", "--m1", "2"]
-    assert cli.main(["conjecture", *argv]) == 0
-    scan = json.loads(capsys.readouterr().out)["scan"]
-    assert scan["hits"]
-    assert load_script("explore_conjecture").main(argv) == 0
-    assert json.loads(capsys.readouterr().out) == scan
-
-
 def test_run_audits_script_is_clean(capsys):
     assert load_script("run_audits").main() == 0
     lines = capsys.readouterr().out.splitlines()

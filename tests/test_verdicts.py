@@ -32,6 +32,8 @@ from maxcurves import (
     order_sequences,
     quarter_genus_check,
     ramification_audit,
+    x_of,
+    y_of,
 )
 
 
@@ -112,6 +114,26 @@ def test_normalize_twisted_round_trip(t3, t5):
                 assert res.verified
                 assert 0 <= res.power_index < (q + 1) // m
                 assert res.y_scale != 0 and res.x_scale != 0
+
+
+def test_normalization_residual_rejects_a_wrong_scale(t5):
+    # the residual behind `verified` vanishes at the computed y scale s
+    # and not at s * xi, so the check can fail
+    tower, m = t5, 3
+    q = tower.q
+    gm = tower.inv(tower.pow(tower.xi, 2 * m))
+    a = tower.mul(tower.pow(tower.xi, q), gm)
+    b = tower.mul(tower.xi, gm)
+    res = normalize_model(tower, a, b, m)
+    curve = define_curve(tower, (b,) + (0,) * (tower.a - 1) + (a,), m)
+    ex = x_of(curve).scaled(res.x_scale)
+
+    def residual(s):
+        ey = y_of(curve).scaled(s)
+        return ey ** q + ey - ex ** m
+
+    assert res.verified and residual(res.y_scale).is_zero
+    assert not residual(tower.mul(res.y_scale, tower.xi)).is_zero
 
 
 def test_normalize_rejects_degenerate_left_side(t3):

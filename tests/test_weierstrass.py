@@ -10,26 +10,26 @@ from maxcurves import (
     NON_RATIONAL,
     RAMIFIED,
     UNRAMIFIED,
+    FuncElement,
     NumericalSemigroup,
     Point,
     PrecisionError,
-    basis_functions,
-    default_precision,
     define_curve,
     hermitian_curve,
     linear_system_info,
-    local_expansion,
     nongaps_at_infinity,
     order_census,
     order_sequence,
     order_sequences,
     pair_genus,
     ramification_audit,
+    rr_basis,
     selmer_upper_bound,
     semigroup_gaps,
     valuation_at,
     weierstrass,
 )
+from maxcurves.function_field import monomial_series
 from maxcurves.linalg import row_echelon
 
 
@@ -201,13 +201,12 @@ def test_fixed_precision_matches_wide_expansions(h23, h25, h35):
     # q + 2 terms against the former 4(q + 1) starting precision
     for curve in (h23, h25, h35):
         q = curve.tower.q
-        funcs = basis_functions(curve, q + 1)
-        prec = default_precision(curve)
+        monos = rr_basis(curve, q + 1).monomials
         for P in curve.enumerate_points(4):
             if P.is_infinity:
                 continue
             orders = order_sequence(curve, P).orders
-            rows = [local_expansion(P, f, prec).coeffs for f in funcs]
+            rows = monomial_series(curve, P, monos, 4 * (q + 1))
             _, pivots = row_echelon(curve.tower, rows)
             assert orders == tuple(pivots)
             assert orders[-1] <= q + 1
@@ -234,7 +233,7 @@ def test_order_sequence_rejects_off_curve_point(h23):
 def test_achievable_valuations_lie_in_order_set(h23):
     # random sections only ever vanish to an order in the computed sequence
     q = h23.tower.q
-    funcs = basis_functions(h23, q + 1)
+    funcs = [FuncElement(h23, {ij: 1}) for ij in rr_basis(h23, q + 1).monomials]
     t = h23.tower
     rng = random.Random(23)
     pts = h23.enumerate_points(4)
