@@ -4,7 +4,8 @@ The generator matrix evaluates the monomial basis of
 L(lambda * P_infinity) at every affine rational point in canonical
 enumeration order. Exact minimum distances are found by scanning
 message classes with the leading nonzero symbol fixed to 1, under an
-explicit work budget.
+explicit work budget. `export_matrix` writes the generator matrix as
+CSV or JSON for other tools; the package reads neither format back.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .curve_model import CurveModel
-from .field_tower import BudgetError, FieldTower
+from .field_tower import BudgetError
 from .function_field import rr_basis
 from .linalg import matrix_rank
 
@@ -100,7 +101,7 @@ def min_distance_exact(code: EvalCode, budget: int = 1 << 22) -> DistanceReport:
 
 
 # ---------------------------------------------------------------------------
-# matrix export and import
+# matrix export
 # ---------------------------------------------------------------------------
 
 def export_matrix(code: EvalCode, path: str, fmt: str = "csv") -> None:
@@ -128,22 +129,3 @@ def export_matrix(code: EvalCode, path: str, fmt: str = "csv") -> None:
             fh.write("\n")
     else:
         raise ValueError("format must be csv or json")
-
-
-def read_matrix_csv(path: str, tower: FieldTower) -> tuple[dict, tuple]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    params = {name: int(v) for name, v in zip(rows[0], rows[1])}
-    matrix = tuple(
-        tuple(tower.parse_element(cell) for cell in row)
-        for row in rows[2:])
-    return params, matrix
-
-
-def read_matrix_json(path: str, tower: FieldTower) -> tuple[dict, tuple]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    matrix = tuple(
-        tuple(tower.element(cell) for cell in row)
-        for row in payload["matrix"])
-    return payload["params"], matrix

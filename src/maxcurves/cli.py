@@ -3,8 +3,9 @@
 Every subcommand prints one JSON document to stdout with sorted keys,
 so identical invocations produce byte-identical output. Exit codes:
 0 all requested identities hold, 1 an identity check failed,
-2 invalid input or an infeasible computation, 3 a work budget was
-exhausted (conjecture scans still print their partial report).
+2 invalid input (an unwritable output path included) or an infeasible
+computation, 3 a work budget was exhausted (conjecture scans still
+print their partial report).
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc), "kind": "precision"},
                          sort_keys=True, indent=2), file=sys.stderr)
         return EXIT_VALIDATION
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(json.dumps({"error": str(exc), "kind": "validation"},
                          sort_keys=True, indent=2), file=sys.stderr)
         return EXIT_VALIDATION

@@ -494,15 +494,6 @@ class FieldTower:
             t = self.pow(t, s)
         return acc
 
-    def norm(self, x: int, from_level: int, to_level: int) -> int:
-        self._check_levels(x, from_level, to_level)
-        s = self.level_order(to_level)
-        acc, t = 1, x
-        for _ in range(from_level // to_level):
-            acc = self.mul(acc, t)
-            t = self.pow(t, s)
-        return acc
-
     def _check_levels(self, x: int, from_level: int, to_level: int) -> None:
         if from_level not in LEVELS or to_level not in LEVELS:
             raise ValueError(f"levels must be among {LEVELS}")

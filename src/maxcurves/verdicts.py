@@ -545,9 +545,11 @@ def audit(curve: CurveModel) -> AuditReport:
     with their reason on other curves and then count as passed.  The
     verdict also needs a dichotomy branch, no failed genus identity, a
     verified normalization when one was attempted, and an interval
-    classification consistent with n.
+    classification consistent with n.  The classification runs first,
+    so a curve it rejects fails before the orbit fold.
     """
     info = linear_system_info(curve)
+    cls = genus_interval_classify(curve.tower.q, curve.genus, n=info.n)
     orders = order_sequences(curve)
     try:
         ram = ramification_audit(curve, orders)
@@ -559,7 +561,6 @@ def audit(curve: CurveModel) -> AuditReport:
     except ValueError as exc:
         emb = Skipped(str(exc))
     verdict = dichotomy_check(curve)
-    cls = genus_interval_classify(curve.tower.q, curve.genus, n=info.n)
     all_ok = (
         (isinstance(ram, Skipped) or ram.all_ok)
         and census.ok

@@ -1,4 +1,4 @@
-"""Order sequences, numerical semigroups, and the ramification audit.
+"""Order sequences, semigroup gaps, and the ramification audit.
 
 Order sequences are read off as the pivot columns of the row echelon
 form of the basis-expansion matrix at a point: the pivot columns are
@@ -63,26 +63,6 @@ def semigroup_gaps(generators) -> tuple[int, ...]:
         if all(reach[bound - m + 1:]):
             return tuple(v for v in range(1, bound + 1) if not reach[v])
         bound *= 2
-
-
-@dataclass(frozen=True)
-class NumericalSemigroup:
-    generators: tuple[int, ...]
-    gaps: tuple[int, ...]
-
-    @classmethod
-    def from_generators(cls, generators) -> "NumericalSemigroup":
-        gens = tuple(sorted({int(g) for g in generators}))
-        return cls(gens, semigroup_gaps(gens))
-
-    @property
-    def genus(self) -> int:
-        return len(self.gaps)
-
-    def contains(self, v: int) -> bool:
-        if v < 0:
-            return False
-        return v not in self.gaps if v <= max(self.gaps, default=-1) else True
 
 
 def pair_genus(r: int, s: int) -> int:
@@ -160,32 +140,10 @@ def selmer_upper_bound(m: int, q: int) -> SelmerBound:
 # order sequences of the (q+1)-system
 # ---------------------------------------------------------------------------
 
-RAMIFIED = "ramified-rational"
-UNRAMIFIED = "unramified-rational"
-NON_RATIONAL = "non-rational"
+def order_sequence(curve: CurveModel, P: Point) -> tuple[int, ...]:
+    """The orders at P of the system cut out by L((q+1)P_inf), increasing.
 
-
-@dataclass(frozen=True)
-class OrderSequence:
-    point: Point
-    orders: tuple[int, ...]
-    point_type: str
-
-
-def _point_type(curve: CurveModel, P: Point) -> str:
-    if P.is_infinity:
-        return RAMIFIED if curve.d > 1 else UNRAMIFIED
-    if not curve.is_rational(P):
-        return NON_RATIONAL
-    if curve.d > 1 and P.x == 0:
-        return RAMIFIED
-    return UNRAMIFIED
-
-
-def order_sequence(curve: CurveModel, P: Point) -> OrderSequence:
-    """Valuations attained at P by the system cut out by L((q+1)P_inf).
-
-    A nonzero f in L((q+1)P_inf) has at most q + 1 zeros counted with
+    The orders are the valuations v_P(f) attained in the span.  A nonzero f in L((q+1)P_inf) has at most q + 1 zeros counted with
     multiplicity, so v_P(f) <= q + 1 at every affine P.  Expansions to
     q + 2 terms therefore keep every f of the span nonzero with its
     valuation intact, and one echelon pass fixes all pivots.
@@ -193,8 +151,7 @@ def order_sequence(curve: CurveModel, P: Point) -> OrderSequence:
     q = curve.tower.q
     basis = rr_basis(curve, q + 1)
     if P.is_infinity:
-        orders = tuple(sorted(q + 1 - w for w in basis.pole_orders))
-        return OrderSequence(P, orders, _point_type(curve, P))
+        return tuple(sorted(q + 1 - w for w in basis.pole_orders))
     if not curve.on_curve(P):
         raise ValueError("point is not on the curve")
     rows = monomial_series(curve, P, basis.monomials, q + 2)
@@ -202,7 +159,7 @@ def order_sequence(curve: CurveModel, P: Point) -> OrderSequence:
     if len(pivots) != basis.dimension:
         raise PrecisionError(
             f"order sequence unresolved at precision {q + 2}")
-    return OrderSequence(P, tuple(pivots), _point_type(curve, P))
+    return tuple(pivots)
 
 
 def _orbit_group(curve: CurveModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -244,7 +201,7 @@ def order_sequences(curve: CurveModel) -> OrbitTable:
             raise RuntimeError(f"orbit image {min(orbit - unseen, key=repr)} of {P} "
                                "is not on the curve or lies in an earlier orbit")
         unseen -= orbit
-        out[P] = (order_sequence(curve, P).orders, len(orbit))
+        out[P] = (order_sequence(curve, P), len(orbit))
     return out
 
 

@@ -130,7 +130,7 @@ def exhaustive_orders():
     def orders(curve):
         key = (curve.tower, curve.f_coeffs, curve.d)
         if key not in cache:
-            cache[key] = {P: order_sequence(curve, P).orders
+            cache[key] = {P: order_sequence(curve, P)
                           for P in curve.enumerate_points(4)}
         return cache[key]
     return orders

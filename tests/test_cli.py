@@ -269,6 +269,11 @@ def test_normalize_twisted_model_with_colon_tokens(capsys, t3):
     ("code", "--p", "2", "--a", "1", "--hermitian-m", "3", "--lambda", "12"),
     ("normalize", "--p", "3", "--a", "1", "--fa", "1:2:3:4:5",
      "--fb", "1", "--m", "2"),
+    ("audit", "--p", "3", "--a", "1", "--hermitian-m", "1"),  # genus 0
+    ("curve", "--p", "2", "--a", "1", "--hermitian-m", "3",
+     "--emit", "/nonexistent/x.csv"),
+    ("code", "--p", "2", "--a", "1", "--hermitian-m", "3", "--lambda", "2",
+     "--emit", "/nonexistent/x.csv"),
 ])
 def test_validation_failures_exit_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)

@@ -435,20 +435,6 @@ def test_trace_2_to_1_is_onto_level_1(t3):
     assert image == set(t3.elements(1))
 
 
-def test_norm_2_to_1_is_the_q_plus_1_power(t3):
-    for x in t3.elements(2):
-        assert t3.norm(x, 2, 1) == t3.pow(x, 4)
-        assert t3.in_level(t3.norm(x, 2, 1), 1)
-
-
-def test_norm_is_multiplicative(t5):
-    rng = random.Random(9)
-    for _ in range(30):
-        x, y = rng.randrange(625), rng.randrange(625)
-        assert t5.norm(t5.mul(x, y), 4, 1) == \
-            t5.mul(t5.norm(x, 4, 1), t5.norm(y, 4, 1))
-
-
 def test_level_validation(t3):
     with pytest.raises(ValueError):
         t3.level_order(3)

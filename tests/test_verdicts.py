@@ -314,6 +314,15 @@ def test_audit_sections_and_verdict(h23, add45):
         audit(define_curve(h23.tower, (1, 1), 7))  # not maximal
 
 
+def test_audit_classifies_the_genus_before_the_orbit_fold(t3, monkeypatch):
+    def no_fold(curve):
+        raise AssertionError("the orbit fold ran before the genus was classified")
+
+    monkeypatch.setattr(verdicts, "order_sequences", no_fold)
+    with pytest.raises(ValueError, match="genus must be positive to classify"):
+        audit(hermitian_curve(t3, 1))  # genus 0
+
+
 def _spoil(fn, **changes):
     return lambda *args, **kwargs: replace(fn(*args, **kwargs), **changes)
 
