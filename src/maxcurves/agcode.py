@@ -4,8 +4,10 @@ The generator matrix evaluates the monomial basis of
 L(lambda * P_infinity) at every affine rational point in canonical
 enumeration order. Exact minimum distances are found by scanning
 message classes with the leading nonzero symbol fixed to 1, under an
-explicit work budget. `export_matrix` writes the generator matrix as
-CSV or JSON for other tools; the package reads neither format back.
+explicit work budget; a depth-first walk derives each word from its
+parent by adding one pre-scaled row, n additions per word.
+`export_matrix` writes the generator matrix as CSV or JSON for other
+tools; the package reads neither format back.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from itertools import product
 
 from .curve_model import CurveModel
 from .field_tower import BudgetError
@@ -68,28 +69,39 @@ class DistanceReport:
 
 
 def min_distance_exact(code: EvalCode, budget: int = 1 << 22) -> DistanceReport:
-    """Exact minimum weight by exhausting messages up to scalar multiples."""
+    """Exact minimum weight by exhausting messages up to scalar multiples.
+
+    Messages run in `itertools.product` order with the leading nonzero
+    symbol fixed to 1. Each row is scaled by every level-2 symbol once,
+    up front; a depth-first walk then derives each word from its parent
+    by one `add` per cell and no `mul`. The budget still counts
+    ``q2**k * n`` cells.
+    """
     t = code.curve.tower
     k = code.dimension
-    cost = t.q2 ** k * code.length
+    n = code.length
+    cost = t.q2 ** k * n
     if cost > budget:
         raise BudgetError(
             f"distance scan needs {cost} cell operations, budget is {budget}")
-    level2 = t.elements(2)
-    best = code.length
+    # level-2 elements start with 0, so scaled[i][0] is the zero word
+    scaled = [[[t.mul(c, v) for v in row] for c in t.elements(2)]
+              for row in code.matrix]
+    best = n
     scanned = 0
-    for lead in range(k):
-        lead_row = code.matrix[lead]
-        tail_rows = code.matrix[lead + 1:]
-        for tail in product(level2, repeat=k - lead - 1):
-            word = list(lead_row)
-            for sym, row in zip(tail, tail_rows):
-                if sym:
-                    word = [t.add(w, t.mul(sym, r)) for w, r in zip(word, row)]
-            weight = sum(1 for w in word if w)
+
+    def walk(word, depth):
+        nonlocal best, scanned
+        if depth == k:
             scanned += 1
-            if weight < best:
-                best = weight
+            best = min(best, n - word.count(0))
+            return
+        walk(word, depth + 1)  # symbol 0 keeps the parent word
+        for srow in scaled[depth][1:]:
+            walk([t.add(w, s) for w, s in zip(word, srow)], depth + 1)
+
+    for lead in range(k):
+        walk(code.matrix[lead], lead + 1)
     if best < code.d_designed:
         raise RuntimeError("scan found a word below the designed distance")
     return DistanceReport(

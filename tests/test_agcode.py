@@ -1,8 +1,10 @@
 """Evaluation codes: parameters, exact distance, and matrix round trips."""
 
 import csv
+import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 
@@ -12,6 +14,7 @@ from maxcurves import (
     build_code,
     evaluate,
     export_matrix,
+    hermitian_curve,
     min_distance_exact,
     rr_basis,
 )
@@ -94,10 +97,53 @@ def test_exact_distance_can_beat_designed(h32):
     assert not rep.attains_designed
 
 
-def test_distance_against_naive_scan(h32):
-    for lam in (1, 2, 3):
-        code = build_code(h32, lam)
-        assert min_distance_exact(code).distance == naive_min_distance(code)
+def test_distance_against_naive_scan(h32, h23, h43, h25, h35, t4):
+    h54 = hermitian_curve(t4, 5)
+    cases = [(h32, lam) for lam in (1, 2, 3)]
+    cases += [(h23, 2), (h23, 3), (h23, 4), (h43, 3), (h43, 4),
+              (h25, 3), (h35, 3), (h54, 5)]
+    for curve, lam in cases:
+        code = build_code(curve, lam)
+        q2, k = curve.tower.q2, code.dimension
+        rep = min_distance_exact(code)
+        assert rep.distance == naive_min_distance(code), (curve, lam)
+        assert rep.scanned == (q2 ** k - 1) // (q2 - 1), (curve, lam)
+
+
+def test_distance_against_naive_scan_on_random_matrices(h32, h23):
+    # random codes have few minimum-weight words, so a walk that skips
+    # messages misses them
+    rng = random.Random(5)
+    for curve in (h32, h23):
+        base = build_code(curve, 3)
+        level2 = curve.tower.elements(2)
+        for _ in range(20):
+            k, n = rng.randint(1, 3), rng.randint(3, 6)
+            matrix = tuple(tuple(rng.choice(level2) for _ in range(n))
+                           for _ in range(k))
+            code = dataclasses.replace(
+                base, length=n, dimension=k, d_designed=0, matrix=matrix)
+            assert min_distance_exact(code).distance == naive_min_distance(code), matrix
+
+
+def test_distance_scan_multiplies_only_in_its_table(h23, monkeypatch):
+    code = build_code(h23, 3)
+    t = h23.tower
+    calls = {"mul": 0, "add": 0}
+
+    def counted(name):
+        op = getattr(t, name)
+
+        def wrapper(x, y):
+            calls[name] += 1
+            return op(x, y)
+        return wrapper
+
+    monkeypatch.setattr(t, "mul", counted("mul"))
+    monkeypatch.setattr(t, "add", counted("add"))
+    rep = min_distance_exact(code)
+    assert calls["mul"] <= code.dimension * t.q2 * code.length
+    assert calls["add"] <= rep.scanned * code.length
 
 
 def test_distance_budget(h35):
@@ -106,6 +152,14 @@ def test_distance_budget(h35):
         min_distance_exact(code)  # 25^7 messages dwarf the default budget
     with pytest.raises(BudgetError):
         min_distance_exact(build_code(h35, 3), budget=10)
+
+
+def test_distance_budget_is_exact(h23):
+    code = build_code(h23, 3)
+    cost = h23.tower.q2 ** code.dimension * code.length
+    assert min_distance_exact(code, budget=cost).distance == code.d_designed
+    with pytest.raises(BudgetError):
+        min_distance_exact(code, budget=cost - 1)
 
 
 # ---------------------------------------------------------------------------

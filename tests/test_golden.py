@@ -52,6 +52,10 @@ GOLDEN = [
      "c911ad05a3e1017bd8e5fb23281ac33bb5453cdd6a3265d3e794d2b5ec630029"),
     ("code --p 2 --a 1 --hermitian-m 3 --lambda 3 --exact", 0,
      "b77668fca2efa944af77fd12084d22c84ff08c71768b0e59d614a5e923352ca1"),
+    ("code --p 2 --a 2 --hermitian-m 5 --lambda 8 --exact", 0,
+     "2c630a483a09923eacb4a470c18d79e64cc3cb44ad2ab46ac13f64f6f4561db6"),
+    ("code --p 3 --a 1 --hermitian-m 4 --lambda 4 --exact", 0,
+     "c29fa8a1fc446c6dbf4ace53ed1eea6085a8d26608bb21adb67a2eb3426f086e"),
     ("curve --p 3 --a 1 --hermitian-m 2", 0,
      "e76b74876fedcf3a11b3221d6d9074f262227a33740f2bfc4f3c9bf188e37d0c"),
     ("curve --p 3 --a 1 --additive 1,1 --d 7", 0,
