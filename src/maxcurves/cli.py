@@ -36,10 +36,17 @@ EXIT_BUDGET = 3
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _budget(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget {value} is negative")
+    return value
+
+
 def _tower_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=int, required=True, help="characteristic")
     p.add_argument("--a", type=int, required=True, help="exponent with q = p^a")
-    p.add_argument("--budget", type=int, default=DEFAULT_AMBIENT_BUDGET,
+    p.add_argument("--budget", type=_budget, default=DEFAULT_AMBIENT_BUDGET,
                    help="largest ambient field order that may be enumerated")
 
 
@@ -91,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="additive degree, a power of the characteristic")
     cj.add_argument("--d", type=int, default=None,
                     help="x-degree of the searched models (default q + 1)")
-    cj.add_argument("--scan-budget", type=int, default=1 << 22,
+    cj.add_argument("--scan-budget", type=_budget, default=1 << 22,
                     help="total budget, q^2 units per tested candidate")
     cj.set_defaults(func=cmd_conjecture)
 

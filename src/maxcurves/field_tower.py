@@ -370,6 +370,8 @@ class FieldTower:
             digits = [int(x) for x in token.split(":")]
             if len(digits) > self.degree:
                 raise ValueError(f"element has more than {self.degree} residues")
+            if not all(0 <= c < self.p for c in digits):
+                raise ValueError(f"residues must lie in 0..{self.p - 1}")
             return self.element(digits)
         code = int(token)
         if not 0 <= code < self.order:

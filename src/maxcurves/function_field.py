@@ -16,6 +16,8 @@ that recurrence (`_y_series`) develops y.  A nonzero polynomial of top
 weight w has w zeros counted with multiplicity, so v_P <= w and w + 1
 terms decide its valuation; PrecisionError is raised only when w + 1
 exceeds max_precision and the series vanishes up to that cap.
+`evaluate`, the valuations and `solve_section` are the test oracles of
+the expansions; the package does not export them.
 """
 
 from __future__ import annotations
@@ -121,9 +123,6 @@ class FuncElement:
             return NotImplemented
         return self.num == other.num
 
-    def __hash__(self):
-        raise TypeError("FuncElement is unhashable")
-
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "FuncElement") -> "FuncElement":
@@ -160,21 +159,12 @@ class FuncElement:
         return f"FuncElement({sorted(self.num.items())})"
 
 
-def normal_form(curve: CurveModel, terms) -> FuncElement:
-    """Reduce a raw {(i, j): coeff} expression to canonical form."""
-    return FuncElement(curve, _reduce(curve, dict(terms)))
-
-
 def x_of(curve: CurveModel) -> FuncElement:
     return FuncElement(curve, {(1, 0): 1})
 
 
 def y_of(curve: CurveModel) -> FuncElement:
     return FuncElement(curve, {(0, 1): 1} if curve.deg_f > 1 else _reduce(curve, {(0, 1): 1}))
-
-
-def const(curve: CurveModel, c: int) -> FuncElement:
-    return FuncElement(curve, {(0, 0): c} if c else {})
 
 
 def evaluate(f: FuncElement, P: Point) -> int:

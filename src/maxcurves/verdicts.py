@@ -1,7 +1,7 @@
 """Global verdicts about maximal curves: bounds, dichotomies, searches.
 
 Everything here reduces a structural claim to finite checks on a
-concrete tower: point counts, semigroup sieves, interval membership
+concrete tower: point counts, pole orders, interval membership
 over exact fractions, or exhaustive grids with explicit budgets.
 Conjectural identities are always reported as flags, never asserted.
 """
@@ -12,13 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .curve_model import (
-    INFINITY,
-    CurveModel,
-    define_curve,
-    hermitian_curve,
-    is_trace_shaped,
-)
+from .curve_model import INFINITY, CurveModel, define_curve, is_trace_shaped
 from .field_tower import ELEMENT, FieldTower
 from .function_field import rr_basis, x_of, y_of
 from .weierstrass import (
@@ -30,8 +24,6 @@ from .weierstrass import (
     order_census,
     order_sequences,
     ramification_audit,
-    selmer_upper_bound,
-    semigroup_gaps,
 )
 
 
@@ -169,16 +161,6 @@ def normalize_model(tower: FieldTower, a: int, b: int, m: int) -> NormalizationR
 # the two-branch dichotomy at the first nongap
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SyntheticInstance:
-    """Numeric stand-in for a curve when only invariants are known."""
-
-    q: int
-    genus: int
-    n: int
-    m1: int
-
-
 BRANCH_FULL = "nm1-equals-q-plus-1"
 BRANCH_CONJ = "nm1-equals-q"
 BRANCH_NONE = "hypothesis-not-met"
@@ -197,24 +179,19 @@ class DichotomyVerdict:
     normalization: NormalizationResult | None
 
 
-def dichotomy_check(instance: CurveModel | SyntheticInstance) -> DichotomyVerdict:
+def dichotomy_check(curve: CurveModel) -> DichotomyVerdict:
     """Sort a maximal curve into the nm1 = q+1 / nm1 = q branches.
 
     On the first branch the genus identity 2g = (m1-1)(q-1) is a
     theorem and trace-shaped models are normalized as a witness; on the
     second, 2g = (m1-1)q is reported as a conjecture flag only.
     """
-    curve = None
-    if isinstance(instance, CurveModel):
-        curve = instance
-        if not curve.is_maximal:
-            raise ValueError("the dichotomy applies to maximal curves only")
-        q = curve.tower.q
-        g = curve.genus
-        n = _system_n(curve)
-        m1 = _first_nongap(curve)
-    else:
-        q, g, n, m1 = instance.q, instance.genus, instance.n, instance.m1
+    if not curve.is_maximal:
+        raise ValueError("the dichotomy applies to maximal curves only")
+    q = curve.tower.q
+    g = curve.genus
+    n = _system_n(curve)
+    m1 = _first_nongap(curve)
     prod = n * m1
     identity_ok = None
     conj = None
@@ -222,8 +199,7 @@ def dichotomy_check(instance: CurveModel | SyntheticInstance) -> DichotomyVerdic
     if prod == q + 1:
         branch = BRANCH_FULL
         identity_ok = 2 * g == (m1 - 1) * (q - 1)
-        if (curve is not None and curve.d == m1
-                and is_trace_shaped(curve.tower, curve.f_coeffs)):
+        if curve.d == m1 and is_trace_shaped(curve.tower, curve.f_coeffs):
             norm = normalize_model(
                 curve.tower, curve.f_coeffs[-1], curve.f_coeffs[0], curve.d)
     elif prod == q:
@@ -276,69 +252,6 @@ def genus_interval_classify(q: int, genus: int, n: int | None = None) -> Interva
     return IntervalClassification(
         q=q, genus=genus, t=t, upper_bound=upper(t), next_upper=upper(t + 1),
         attains_upper=attains, n=n, consistent=consistent,
-    )
-
-
-# ---------------------------------------------------------------------------
-# the quarter-genus gap scan for odd q
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScanRecord:
-    m: int
-    sieve_genus: int
-    selmer_bound: int
-    eliminated: bool
-
-
-@dataclass(frozen=True)
-class QuarterGenusReport:
-    q: int
-    m: int
-    genus: int
-    genus_ok: bool
-    maximal: bool
-    branch_ok: bool
-    scanned: tuple[ScanRecord, ...]
-    all_eliminated: bool
-    ok: bool
-
-
-def quarter_genus_check(tower: FieldTower) -> QuarterGenusReport:
-    """Confirm the (q-1)^2/4 witness and eliminate multiplicities above it.
-
-    The witness is the curve with m = (q+1)/2; every candidate first
-    nongap strictly between (q+1)/2 and q-1 is ruled out because the
-    densest admissible semigroup already has too small a genus.
-    """
-    q = tower.q
-    if q % 2 == 0:
-        raise ValueError("the quarter-genus analysis needs odd q")
-    m_half = (q + 1) // 2
-    quarter = (q - 1) * (q - 1) // 4
-    curve = hermitian_curve(tower, m_half)
-    genus_ok = curve.genus == quarter
-    maximal = curve.is_maximal
-    verdict = dichotomy_check(curve) if maximal else None
-    branch_ok = verdict is not None and verdict.branch == BRANCH_FULL \
-        and bool(verdict.genus_identity_ok)
-    records = []
-    for m in range((q + 3) // 2, q - 1):
-        if math.gcd(m, q) != 1:
-            continue
-        sieve = len(semigroup_gaps((m, q, q + 1)))
-        sel = selmer_upper_bound(m, q)
-        records.append(ScanRecord(
-            m=m,
-            sieve_genus=sieve,
-            selmer_bound=sel.bound,
-            eliminated=sieve < quarter,
-        ))
-    all_elim = all(r.eliminated for r in records)
-    return QuarterGenusReport(
-        q=q, m=m_half, genus=curve.genus, genus_ok=genus_ok, maximal=maximal,
-        branch_ok=branch_ok, scanned=tuple(records), all_eliminated=all_elim,
-        ok=genus_ok and maximal and branch_ok and all_elim,
     )
 
 

@@ -42,7 +42,8 @@ def semigroup_gaps(generators) -> tuple[int, ...]:
 
     The reachability sieve is extended until a full window of min(gens)
     consecutive values is reachable, which certifies that no gaps lie
-    beyond the sieve bound.
+    beyond the sieve bound.  The tests check the pole orders of
+    `rr_basis` at P_infinity against it; the package does not export it.
     """
     gens = sorted({int(g) for g in generators})
     if not gens or gens[0] < 1:
@@ -65,77 +66,6 @@ def semigroup_gaps(generators) -> tuple[int, ...]:
         bound *= 2
 
 
-def pair_genus(r: int, s: int) -> int:
-    """Genus (r-1)(s-1)/2 of a two-generator semigroup, sieve-checked."""
-    if r < 1 or s < 1 or math.gcd(r, s) != 1:
-        raise ValueError("generators must be positive and coprime")
-    g = (r - 1) * (s - 1) // 2
-    if len(semigroup_gaps((r, s))) != g:
-        raise RuntimeError("closed form disagrees with the sieve")
-    return g
-
-
-def nongaps_at_infinity(curve: CurveModel, count: int) -> tuple[int, ...]:
-    """The smallest positive pole orders available at the infinite place."""
-    r, d = curve.deg_f, curve.d
-    out = []
-    v = 1
-    while len(out) < count:
-        if any(j * d <= v and (v - j * d) % r == 0 for j in range(min(r, v // d + 1))):
-            out.append(v)
-        v += 1
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# the Selmer-style genus bound
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SelmerBound:
-    """Upper bound for 2g over semigroups of multiplicity m containing q, q+1.
-
-    sieve_2g is twice the genus of the densest such semigroup
-    <m, q, q+1>; the bound can never fall below it. s is allowed to
-    reach m itself, with s_at_m recording when it does.
-    """
-
-    m: int
-    q: int
-    bound: int
-    s: int
-    t: int
-    u: int
-    r: int
-    sieve_2g: int
-    equality: bool
-    s_at_m: bool
-
-
-def selmer_upper_bound(m: int, q: int) -> SelmerBound:
-    if m < 2 or q < 2 or m > q:
-        raise ValueError("need 2 <= m <= q")
-    if math.gcd(m, q) != 1:
-        raise ValueError("m and q must be coprime")
-    for s in range(2, m + 1):
-        if (s * q - q - 1) % m == 0:
-            t = (s * q - q - 1) // m
-            break
-    else:
-        raise RuntimeError("no multiplier s found; unreachable for coprime inputs")
-    if t <= 0:
-        raise RuntimeError("multiplier t must be positive")
-    u, r = divmod(m, s)
-    bound = (m - 1) * (q - 1) - u * t * (m - s + r)
-    sieve_2g = 2 * len(semigroup_gaps((m, q, q + 1)))
-    if bound < sieve_2g:
-        raise RuntimeError("bound fell below the attainable genus")
-    return SelmerBound(
-        m=m, q=q, bound=bound, s=s, t=t, u=u, r=r,
-        sieve_2g=sieve_2g, equality=bound == sieve_2g, s_at_m=s == m,
-    )
-
-
 # ---------------------------------------------------------------------------
 # order sequences of the (q+1)-system
 # ---------------------------------------------------------------------------
@@ -143,7 +73,8 @@ def selmer_upper_bound(m: int, q: int) -> SelmerBound:
 def order_sequence(curve: CurveModel, P: Point) -> tuple[int, ...]:
     """The orders at P of the system cut out by L((q+1)P_inf), increasing.
 
-    The orders are the valuations v_P(f) attained in the span.  A nonzero f in L((q+1)P_inf) has at most q + 1 zeros counted with
+    The orders are the valuations v_P(f) attained in the span.  A
+    nonzero f in L((q+1)P_inf) has at most q + 1 zeros counted with
     multiplicity, so v_P(f) <= q + 1 at every affine P.  Expansions to
     q + 2 terms therefore keep every f of the span nonzero with its
     valuation intact, and one echelon pass fixes all pivots.

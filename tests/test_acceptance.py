@@ -12,26 +12,24 @@ from maxcurves import (
     BRANCH_CONJ,
     BRANCH_FULL,
     INFINITY,
+    FuncElement,
     bounds_report,
     build_code,
     cli,
-    const,
     dichotomy_check,
     linear_system_info,
     min_distance_exact,
     order_census,
     order_sequence,
     order_sequences,
-    pair_genus,
     ramification_audit,
     rr_basis,
-    selmer_upper_bound,
-    solve_section,
-    valuation_at,
     x_of,
     y_of,
 )
 from maxcurves.curve_model import Point
+from maxcurves.function_field import solve_section, valuation_at
+from maxcurves.weierstrass import semigroup_gaps
 
 
 def verdict(num, ok, desc):
@@ -186,10 +184,10 @@ def test_09_property_suites(t3, h32, h23, h43, h25, h35, add45):
             ok = ok and t3.mul(x, t3.inv(x)) == 1
 
     origin = Point(0, 0)
-    parts = (const(h23, 1), x_of(h23), y_of(h23))
+    parts = (FuncElement(h23, {(0, 0): 1}), x_of(h23), y_of(h23))
     fns = []
     while len(fns) < 10:
-        f = const(h23, 0)
+        f = FuncElement(h23, {})
         for part in parts:
             f = f + part.scaled(rng.randrange(81))
         if not f.is_zero:
@@ -210,16 +208,8 @@ def test_09_property_suites(t3, h32, h23, h43, h25, h35, add45):
     for r in range(2, 50):
         for s in range(r + 1, 51):
             if math.gcd(r, s) == 1:
-                ok = ok and pair_genus(r, s) == (r - 1) * (s - 1) // 2
-
-    for q in range(2, 31):
-        for m in range(2, q + 1):
-            if math.gcd(m, q) != 1:
-                continue
-            b = selmer_upper_bound(m, q)
-            ok = ok and b.bound >= b.sieve_2g
-            ok = ok and b.s * q - q - 1 == b.t * m and m == b.u * b.s + b.r
-    assert verdict(9, ok, "field, valuation, dimension, and bound properties hold"), \
+                ok = ok and len(semigroup_gaps((r, s))) == (r - 1) * (s - 1) // 2
+    assert verdict(9, ok, "field, valuation, dimension, and genus properties hold"), \
         "a deterministic property sweep found a counterexample"
 
 

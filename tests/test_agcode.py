@@ -12,12 +12,12 @@ from maxcurves import (
     BudgetError,
     FuncElement,
     build_code,
-    evaluate,
     export_matrix,
     hermitian_curve,
     min_distance_exact,
     rr_basis,
 )
+from maxcurves.function_field import evaluate
 
 
 def codeword(tower, matrix, message):

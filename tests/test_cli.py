@@ -274,12 +274,25 @@ def test_normalize_twisted_model_with_colon_tokens(capsys, t3):
      "--emit", "/nonexistent/x.csv"),
     ("code", "--p", "2", "--a", "1", "--hermitian-m", "3", "--lambda", "2",
      "--emit", "/nonexistent/x.csv"),
+    ("normalize", "--p", "3", "--a", "1", "--fa", "5:0", "--fb", "1", "--m", "2"),
 ])
 def test_validation_failures_exit_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2
     assert out == ""
     assert json.loads(err)["kind"] == "validation"
+
+
+@pytest.mark.parametrize("argv", [
+    ("curve", "--p", "2", "--a", "1", "--hermitian-m", "3", "--budget", "-1"),
+    ("conjecture", "--p", "2", "--a", "1", "--m1", "2", "--scan-budget", "-5"),
+])
+def test_negative_budget_exits_2(capsys, argv):
+    # argparse rejects it: usage on stderr, no partial report on stdout
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "negative" in err
 
 
 def test_missing_required_argument_exits_2(capsys):

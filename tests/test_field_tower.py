@@ -169,7 +169,7 @@ def test_element_text_forms_round_trip(t3):
         assert t3.parse_element(t3.format_element(x)) == x
         assert t3.parse_element(f" {x} ") == x
     assert t3.parse_element("2:1") == t3.element((2, 1))
-    for bad in ("1:2:3:4:5", "81", "-1", "x", "1::2"):
+    for bad in ("1:2:3:4:5", "81", "-1", "x", "1::2", "3:0", "-1:0"):
         with pytest.raises(ValueError):
             t3.parse_element(bad)
 

@@ -16,7 +16,6 @@ from maxcurves import (
     BRANCH_FULL,
     BRANCH_NONE,
     Skipped,
-    SyntheticInstance,
     audit,
     bounds_report,
     build_tower,
@@ -30,11 +29,11 @@ from maxcurves import (
     normalize_model,
     order_census,
     order_sequences,
-    quarter_genus_check,
     ramification_audit,
     x_of,
     y_of,
 )
+from maxcurves.weierstrass import semigroup_gaps
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +185,29 @@ def test_dichotomy_second_branch_large(t16):
     assert v.conjecture_flag is True
 
 
-def test_dichotomy_synthetic_instances():
-    v = dichotomy_check(SyntheticInstance(q=7, genus=9, n=2, m1=4))
+def _invariants_only(q, genus, deg_f, d):
+    """A maximal curve known only by the invariants dichotomy_check reads.
+
+    n and m1 come from the pole orders deg_f and d at infinity; with
+    d != m1 no normalization is attempted, so no field is needed.
+    """
+    return SimpleNamespace(is_maximal=True, tower=SimpleNamespace(q=q),
+                           genus=genus, deg_f=deg_f, d=d)
+
+
+def test_dichotomy_synthetic_instances(t7):
+    v = dichotomy_check(hermitian_curve(t7, 4))
+    assert (v.q, v.genus, v.n, v.m1) == (7, 9, 2, 4)
     assert v.branch == BRANCH_FULL and v.genus_identity_ok
-    v = dichotomy_check(SyntheticInstance(q=7, genus=8, n=2, m1=4))
-    assert v.branch == BRANCH_FULL and not v.genus_identity_ok
-    v = dichotomy_check(SyntheticInstance(q=7, genus=21, n=1, m1=7))
+    v = dichotomy_check(_invariants_only(7, 8, 4, 7))
+    assert (v.q, v.genus, v.n, v.m1) == (7, 8, 2, 4)
+    assert v.branch == BRANCH_FULL and v.genus_identity_ok is False
+    assert v.normalization is None
+    v = dichotomy_check(hermitian_curve(t7, 8))
+    assert (v.q, v.genus, v.n, v.m1) == (7, 21, 1, 7)
     assert v.branch == BRANCH_CONJ and v.conjecture_flag
-    v = dichotomy_check(SyntheticInstance(q=7, genus=5, n=2, m1=3))
+    v = dichotomy_check(_invariants_only(7, 5, 7, 3))
+    assert (v.q, v.genus, v.n, v.m1) == (7, 5, 2, 3)
     assert v.branch == BRANCH_NONE
     assert v.genus_identity_ok is None and v.conjecture_flag is None
 
@@ -244,33 +258,32 @@ def test_interval_validation():
 
 
 # ---------------------------------------------------------------------------
-# the quarter-genus scan
+# the quarter-genus witness
 # ---------------------------------------------------------------------------
+
+def _quarter_genus_witness(tower):
+    """dichotomy_check of y^q + y = x^((q+1)/2), the (q-1)^2/4 witness."""
+    q = tower.q
+    curve = hermitian_curve(tower, (q + 1) // 2)
+    assert curve.is_maximal
+    v = dichotomy_check(curve)
+    assert v.genus == (q - 1) ** 2 // 4
+    assert v.branch == BRANCH_FULL and v.genus_identity_ok
+    assert v.normalization is not None and v.normalization.verified
+    return v
+
 
 def test_quarter_genus_small_odd_q(t3, t5):
     for tower in (t3, t5):
-        rep = quarter_genus_check(tower)
-        assert rep.ok
-        assert rep.genus_ok and rep.maximal and rep.branch_ok
-        assert rep.scanned == ()  # no multiplicities to eliminate yet
+        _quarter_genus_witness(tower)
 
 
 def test_quarter_genus_q7(t7):
-    rep = quarter_genus_check(t7)
-    assert rep.ok
-    assert rep.m == 4 and rep.genus == 9
-    assert len(rep.scanned) == 1
-    rec = rep.scanned[0]
-    assert rec.m == 5
-    assert rec.sieve_genus == 7
-    assert rec.selmer_bound == 16
-    assert rec.eliminated
-    assert rep.all_eliminated
-
-
-def test_quarter_genus_needs_odd_q(t4):
-    with pytest.raises(ValueError):
-        quarter_genus_check(t4)
+    v = _quarter_genus_witness(t7)
+    assert v.m1 == 4 and v.genus == 9
+    # m = 5 is the only multiplicity strictly between (q+1)/2 and q-1
+    # prime to q; the densest semigroup <5, 7, 8> has too small a genus
+    assert len(semigroup_gaps((5, 7, 8))) == 7 < v.genus
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Semigroups, Selmer-type bounds, order sequences, and the global audits."""
+"""Semigroup gaps, order sequences, and the global audits."""
 
 import random
 
@@ -13,20 +13,16 @@ from maxcurves import (
     define_curve,
     hermitian_curve,
     linear_system_info,
-    nongaps_at_infinity,
     order_census,
     order_sequence,
     order_sequences,
-    pair_genus,
     ramification_audit,
     rr_basis,
-    selmer_upper_bound,
-    semigroup_gaps,
-    valuation_at,
     weierstrass,
 )
-from maxcurves.function_field import monomial_series
+from maxcurves.function_field import monomial_series, valuation_at
 from maxcurves.linalg import row_echelon
+from maxcurves.weierstrass import semigroup_gaps
 
 
 def naive_gaps(gens, limit):
@@ -73,67 +69,22 @@ def test_pair_genus_closed_form(r, s):
     import math
     if math.gcd(r, s) != 1:
         with pytest.raises(ValueError):
-            pair_genus(r, s)
+            semigroup_gaps((r, s))
         return
-    g = pair_genus(r, s)
-    assert g == (r - 1) * (s - 1) // 2
-    assert g == len(semigroup_gaps((r, s)))
+    assert len(semigroup_gaps((r, s))) == (r - 1) * (s - 1) // 2
 
 
 def test_nongaps_at_infinity(h35, h25):
     # positive pole orders only; 0 is not listed
-    assert nongaps_at_infinity(h35, 8) == (3, 5, 6, 8, 9, 10, 11, 12)
-    assert nongaps_at_infinity(h25, 8) == (2, 4, 5, 6, 7, 8, 9, 10)
+    assert rr_basis(h35, 12).pole_orders[1:] == (3, 5, 6, 8, 9, 10, 11, 12)
+    assert rr_basis(h25, 10).pole_orders[1:] == (2, 4, 5, 6, 7, 8, 9, 10)
 
 
-def test_nongaps_match_pole_semigroup(h35):
-    gaps = semigroup_gaps((h35.deg_f, h35.d))
-    got = nongaps_at_infinity(h35, 12)
-    want = tuple(v for v in range(1, 40) if v not in gaps)[:12]
-    assert got == want
-
-
-# ---------------------------------------------------------------------------
-# the multiplicity-m upper bound
-# ---------------------------------------------------------------------------
-
-def test_selmer_frozen_triples():
-    b = selmer_upper_bound(4, 5)
-    assert (b.bound, b.s, b.t, b.u, b.r) == (8, 2, 1, 2, 0)
-    assert b.equality and not b.s_at_m
-    b = selmer_upper_bound(4, 7)
-    assert (b.bound, b.s, b.t, b.u, b.r) == (18, 4, 5, 1, 0)
-    assert b.equality and b.s_at_m
-    b = selmer_upper_bound(5, 7)
-    assert (b.bound, b.s, b.t, b.u, b.r) == (16, 4, 4, 1, 1)
-    assert not b.equality
-    assert b.sieve_2g == 14
-
-
-def test_selmer_bound_dominates_sieve_on_whole_domain():
-    import math
-    for q in range(2, 31):
-        for m in range(2, q + 1):
-            if math.gcd(m, q) != 1:
-                continue
-            b = selmer_upper_bound(m, q)
-            assert b.bound >= b.sieve_2g
-            assert b.equality == (b.bound == b.sieve_2g)
-            assert 2 <= b.s <= m
-            assert b.s_at_m == (b.s == m)
-            assert b.t >= 1
-            assert b.s * q - q - 1 == b.t * m
-            assert m == b.u * b.s + b.r
-            assert 0 <= b.r < b.s
-
-
-def test_selmer_validation():
-    with pytest.raises(ValueError):
-        selmer_upper_bound(1, 5)
-    with pytest.raises(ValueError):
-        selmer_upper_bound(8, 7)
-    with pytest.raises(ValueError):
-        selmer_upper_bound(6, 9)
+def test_nongaps_match_pole_semigroup(h35, h25):
+    for curve in (h35, h25):
+        gaps = semigroup_gaps((curve.deg_f, curve.d))
+        want = tuple(v for v in range(41) if v not in gaps)
+        assert rr_basis(curve, 40).pole_orders == want
 
 
 # ---------------------------------------------------------------------------
