@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .curve_model import CurveModel
 from .field_tower import BudgetError
 from .function_field import rr_basis
-from .linalg import matrix_rank
+from .linalg import row_echelon
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def build_code(curve: CurveModel, lam: int) -> EvalCode:
     rows = tuple(
         tuple(t.mul(t.pow(P.x, i), t.pow(P.y, j)) for P in points)
         for i, j in basis.monomials)
-    rank = matrix_rank(t, [list(r) for r in rows])
+    rank = len(row_echelon(t, rows)[1])
     return EvalCode(
         curve=curve,
         lam=lam,

@@ -1,30 +1,20 @@
 """Plane models F(y) = x^d over k = F_{q^2} with F additive.
 
 F(T) = sum a_i T^(p^i) is F_p-linear with a_0 != 0, so every affine
-fiber of x is smooth and is a coset of ker F.  Point counts build no
-points.  On the cyclic unit group of a level of order Q, x -> x^d is
-g-to-1 onto the exp[k] with k = 0 mod s*g, where g = gcd(d, Q - 1)
-and s = (q^4 - 1)/(Q - 1), so the count is
-1 + |ker F| * (1 + g * #{z in F(level) : z != 0, log z = 0 mod s*g}),
-memoized per level.  At level 4 it walks the (q^4 - 1)/g d-th powers
-exp[::g] with no table of F: z is a value of F iff its residue modulo
-the echelon pivots of F(p^0), ..., F(p^(4a-1)) is 0 (their rank r
-gives |ker F| = p^(4a - r)), and that F_p-linear residue is read from
-two tables of q^2 entries, lo[z % q^2] == hi[z // q^2] (hi negated).
-At level 2, when the d-th powers and 0 form a subfield L = F_{p^j}
-(that is, when (q^2 - 1)/g + 1 = p^j; d = q + 1 gives L = F_q), the
-count is 1 + p^(2a - r) * (1 + g * (p^(r + j - r') - 1)),
-with r the F_p-rank of F(1), F(xi), ..., F(xi^(2a-1)) (so
-|ker F| = p^(2a - r)) and r' the rank of those vectors together with
-the basis 1, eta, ..., eta^(j-1) of L, eta = xi^g (so
-|F(k) & L| = p^(r + j - r')); otherwise it walks the (q^2 - 1)/g
-d-th powers of k and keeps those whose residue modulo the echelon
-pivots of F(1), ..., F(xi^(2a-1)) is 0.  Neither level builds a fiber
-table to count.
-`enumerate_points` lists the cosets for the callers that need the
-points themselves.  The family tagged "hermitian-type" is
-y^q + y = x^m with m dividing q + 1; m = q + 1 gives the Hermitian
-curve itself.
+fiber of x is smooth and is a coset of ker F.  Counts and fiber tables
+start from one `_echelon` of the pairs (F(b), b) over an F_p-basis b of
+the level: the pivot values span F(level), each with a preimage, and the
+pairs that reduce to 0 give a basis of ker F.  Counts build no points.
+On the unit group of a level of order Q, x -> x^d is g-to-1 onto the
+exp[k] with k = 0 mod step, g = gcd(d, Q - 1), step = (q^4 - 1)/(Q - 1)*g,
+so the count is 1 + |ker F| * (1 + g * hits), hits the number of
+z != 0 in F(level) with log z = 0 mod step.  When those powers and 0 form
+a subfield L = F_{p^j}, that is (Q - 1)/g + 1 = p^j, hits + 1 = p^i with
+i the number of the basis vectors 1, eta, ..., eta^(j-1) of L,
+eta = exp[step], that reduce to 0 against the pivots of F; otherwise the
+count walks the span of the pivot values.  The family tagged
+"hermitian-type" is y^q + y = x^m with m dividing q + 1; m = q + 1 gives
+the Hermitian curve itself.
 """
 
 from __future__ import annotations
@@ -32,9 +22,9 @@ from __future__ import annotations
 import csv
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, log
 
-from .field_tower import FieldTower, _linear_table
+from .field_tower import FieldTower
 
 
 @dataclass(frozen=True)
@@ -76,41 +66,45 @@ def _span(tower: FieldTower, vectors) -> list[int]:
     return out
 
 
-def _reduce(tower: FieldTower, v: int, pivots: dict[int, int], powers) -> tuple[int, int]:
-    """Reduce v until its top digit sits off the pivots; return v and that
-    position.  pivots maps a digit position to the basis vector whose top
-    nonzero digit sits there and is 1; powers[i] = p^i."""
-    while v:
-        top = bisect_right(powers, v) - 1
-        b = pivots.get(top)
-        if b is None:
-            return v, top
-        lead = v // powers[top]
-        v = tower.sub(v, b if lead == 1 else tower.mul(lead, b))  # p = 2: lead is 1
-    return 0, 0
+def _basis(tower: FieldTower, level: int) -> list[int]:
+    """The F_p-basis of a level that F is eliminated over: 1, xi, ...,
+    xi^(2a-1) at level 2, independent because xi generates F_{q^2}*; the
+    digit basis p^i at level 4."""
+    if level == 2:
+        return [tower.pow(tower.xi, i) for i in range(2 * tower.a)]
+    if level == 4:
+        return [tower.p ** i for i in range(tower.degree)]
+    raise ValueError("points are counted and enumerated over levels 2 and 4")
 
 
-def _fp_rank(tower: FieldTower, vectors, pivots: dict[int, int]) -> int:
-    """Add the vectors that are F_p-independent of `pivots`; return how many."""
+def _echelon(tower: FieldTower, pairs, pivots: dict[int, tuple[int, int]]) -> list[int]:
+    """F_p elimination of the pairs (v, b) against `pivots`; the kernel.
+
+    pivots maps a digit position to a pair whose value has its top nonzero
+    digit there, equal to 1.  Each row operation acts on both halves, so a
+    pair (F(b), b) stays one; a pair whose value reduces to 0 returns its
+    second half, and any other becomes a new pivot.
+    """
     powers = [tower.p ** i for i in range(tower.degree)]
-    added = 0
-    for v in vectors:
-        v, top = _reduce(tower, v, pivots, powers)
-        if v:
-            pivots[top] = tower.div(v, v // powers[top])
-            added += 1
-    return added
-
-
-def _residue(tower: FieldTower, v: int, pivots: dict[int, int]) -> int:
-    """v modulo the span of `pivots`, zero at every pivot digit: F_p-linear."""
-    powers = [tower.p ** i for i in range(tower.degree)]
-    out = 0
-    while v:
-        v, top = _reduce(tower, v, pivots, powers)
-        rest = v % powers[top]  # v's top digit sits off every pivot: keep it
-        out, v = out + v - rest, rest
-    return out
+    sub, mul = tower.sub, tower.mul
+    kernel = []
+    for v, b in pairs:
+        while v:
+            top = bisect_right(powers, v) - 1
+            lead = v // powers[top]
+            pivot = pivots.get(top)
+            if pivot is None:
+                if lead != 1:
+                    v, b = tower.div(v, lead), tower.div(b, lead)
+                pivots[top] = (v, b)
+                break
+            pv, pb = pivot
+            if lead != 1:  # p = 2: lead is 1
+                pv, pb = mul(lead, pv), mul(lead, pb)
+            v, b = sub(v, pv), sub(b, pb)
+        else:
+            kernel.append(b)
+    return kernel
 
 
 class CurveModel:
@@ -147,28 +141,25 @@ class CurveModel:
 
     # -- point enumeration -----------------------------------------------------
 
+    def _eliminate(self, level: int) -> tuple[dict[int, tuple[int, int]], list[int]]:
+        """(pivots, kernel basis) of F on the level from one `_echelon` pass."""
+        t = self.tower
+        pivots: dict[int, tuple[int, int]] = {}
+        kernel = _echelon(t, [(self.f_eval(b), b) for b in _basis(t, level)], pivots)
+        return pivots, kernel
+
     def _fiber_table(self, level: int):
         """(solmap, kernel) of F on the level: one preimage per value, ker F.
 
-        F is F_p-linear, so F(y) walks the F_p-span of the images of a
-        basis of the level in step with y, one add per element.  The basis
-        is 1, xi, ..., xi^(2a-1) at level 2, independent because xi
-        generates F_{q^2}*, whose span y walks the same way; at level 4 it
-        is the digit basis p^i, whose span lists the codes in order.
+        Spans of the pivot values and, in step, of their preimages, and of
+        the kernel basis: 2 |F(level)| + |ker F| adds.
         """
         if level not in self._fibers:
-            if level not in (2, 4):
-                raise ValueError("points are enumerated over levels 2 and 4")
             t = self.tower
-            if level == 4:
-                basis = [t.p ** i for i in range(t.degree)]
-            else:
-                basis = [t.pow(t.xi, i) for i in range(2 * t.a)]
-            zs = _span(t, [self.f_eval(b) for b in basis])
-            ys = range(t.order) if level == 4 else _span(t, basis)
-            solmap = dict(zip(zs, ys))
-            kernel = tuple(y for y, z in zip(ys, zs) if z == 0)
-            self._fibers[level] = (solmap, kernel)
+            pivots, kernel = self._eliminate(level)
+            solmap = dict(zip(_span(t, [v for v, _ in pivots.values()]),
+                              _span(t, [b for _, b in pivots.values()])))
+            self._fibers[level] = (solmap, tuple(_span(t, kernel)))
         return self._fibers[level]
 
     def enumerate_points(self, level: int) -> tuple[Point, ...]:
@@ -196,34 +187,24 @@ class CurveModel:
         return self._counts[level]
 
     def _count(self, level: int) -> int:
-        """The count by residues or ranks (module docstring); the inner 1 is x = 0."""
+        """1 + |ker F| * (1 + g * hits), hits by the subfield rank or by a
+        walk of F(level) (module docstring); the inner 1 is x = 0."""
         t = self.tower
+        pivots, kernel = self._eliminate(level)
         Q = t.level_order(level)
         g = gcd(self.d, Q - 1)
-        pivots: dict[int, int] = {}
-        if level == 4:
-            r = _fp_rank(t, [self.f_eval(t.p ** i) for i in range(t.degree)], pivots)
-            h = t.q2
-            res = [t.coeffs(_residue(t, t.p ** i, pivots)) for i in range(t.degree)]
-            lo = _linear_table(res[:2 * t.a], t.p, t.p, t.p)
-            hi = _linear_table([[-c % t.p for c in v] for v in res[2 * t.a:]], t.p, t.p, t.p)
-            hits = sum(1 for z in t._exp[::g] if lo[z % h] == hi[z // h])
-            return 1 + t.p ** (t.degree - r) * (1 + g * hits)
-        if level != 2:
-            raise ValueError("points are counted over levels 2 and 4")
-        r = _fp_rank(t, [self.f_eval(t.pow(t.xi, i)) for i in range(2 * t.a)], pivots)
-        size = (Q - 1) // g + 1  # the d-th powers and 0
-        j = 0
-        while t.p ** j < size:
-            j += 1
-        if t.p ** j == size:
-            eta = t.pow(t.xi, g)
-            r2 = r + _fp_rank(t, [t.pow(eta, i) for i in range(j)], pivots)
-            return 1 + t.p ** (2 * t.a - r) * (1 + g * (t.p ** (r + j - r2) - 1))
-        powers = [t.p ** i for i in range(t.degree)]
         step = (t.order - 1) // (Q - 1) * g
-        hits = sum(1 for z in t._exp[::step] if _reduce(t, z, pivots, powers)[0] == 0)
-        return 1 + t.p ** (2 * t.a - r) * (1 + g * hits)
+        size = (Q - 1) // g + 1  # the d-th powers and 0
+        j = round(log(size, t.p))  # exact whenever size is a power of p
+        if t.p ** j == size:
+            eta = t._exp[step % (t.order - 1)]
+            # the basis vectors of L that reduce to 0 span F(level) & L
+            shared = _echelon(t, [(t.pow(eta, i), 0) for i in range(j)], pivots)
+            hits = t.p ** len(shared) - 1
+        else:
+            hits = sum(1 for z in _span(t, [v for v, _ in pivots.values()])
+                       if z and t._log[z] % step == 0)
+        return 1 + t.p ** len(kernel) * (1 + g * hits)
 
     # -- maximality --------------------------------------------------------------
 

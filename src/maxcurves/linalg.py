@@ -34,7 +34,3 @@ def row_echelon(tower: FieldTower, rows) -> tuple[list[list[int]], list[int]]:
             break
     return mat, pivots
 
-
-def matrix_rank(tower: FieldTower, rows) -> int:
-    return len(row_echelon(tower, rows)[1])
-

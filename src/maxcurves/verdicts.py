@@ -14,21 +14,18 @@ from fractions import Fraction
 
 from .curve_model import INFINITY, CurveModel, define_curve, is_trace_shaped
 from .field_tower import ELEMENT, FieldTower
-from .function_field import rr_basis, x_of, y_of
+from .function_field import x_of, y_of
 from .weierstrass import (
     LinearSystemInfo,
     OrbitTable,
     OrderCensus,
     RamificationReport,
+    _system_n,
     linear_system_info,
     order_census,
     order_sequences,
     ramification_audit,
 )
-
-
-def _system_n(curve: CurveModel) -> int:
-    return rr_basis(curve, curve.tower.q + 1).dimension - 2
 
 
 def _first_nongap(curve: CurveModel) -> int:

@@ -150,12 +150,17 @@ class LinearSystemInfo:
     frobenius_divisor_degree: int
 
 
+def _system_n(curve: CurveModel) -> int:
+    """n, the projective dimension of the system cut by L((q+1) P_infinity)."""
+    return rr_basis(curve, curve.tower.q + 1).dimension - 2
+
+
 def linear_system_info(curve: CurveModel) -> LinearSystemInfo:
     if not curve.is_maximal:
         raise ValueError("linear-system analysis requires a maximal curve")
     q = curve.tower.q
-    dim = rr_basis(curve, q + 1).dimension
-    n = dim - 2
+    n = _system_n(curve)
+    dim = n + 2
     if n < 1:
         raise ValueError("the system must have projective dimension at least 2")
     g = curve.genus
@@ -282,7 +287,7 @@ def order_census(curve: CurveModel, orders: OrbitTable) -> OrderCensus:
     Each orbit of `order_sequences(curve)` is checked once, counted by size.
     """
     q = curve.tower.q
-    n = rr_basis(curve, q + 1).dimension - 2
+    n = _system_n(curve)
     generic = tuple(range(n + 1)) + (q,)
     j1_ok = True
     rat_top = True

@@ -128,12 +128,21 @@ def test_counts_match_value_census(h25, h35):
     assert h35.count(4) == value_census_count(h35, 4)
 
 
-@pytest.mark.parametrize("name", ["h32", "h23", "h43", "h25", "h35", "add45", "nonmax"])
+@pytest.fixture(scope="module")
+def mid95(t9):
+    """y^9 + y^3 + 2y = x^5 over F_81: odd p, a_0 != 1 and a middle term,
+    so the elimination meets leads other than 1 at both levels."""
+    return define_curve(t9, (2, 1, 1), 5)
+
+
+@pytest.mark.parametrize("name", ["h32", "h23", "h43", "h25", "h35", "add45", "nonmax",
+                                  "mid95"])
 def test_fiber_table_matches_f_eval(request, name):
     curve = request.getfixturevalue(name)
     t = curve.tower
     for level in (2, 4):
         solmap, kernel = curve._fiber_table(level)
+        assert len(solmap) * len(kernel) == t.level_order(level)
         values = {y: curve.f_eval(y) for y in t.elements(level)}
         assert set(solmap) == set(values.values())
         for z, y in solmap.items():
@@ -154,6 +163,28 @@ def test_count_builds_no_points_and_matches_enumeration(request, tower, d):
         curve = define_curve(t, (1, 1), d)
         n = len(curve.enumerate_points(level))
         assert curve.count(level) == n
+
+
+@pytest.mark.parametrize("level,adds", [(2, 15), (4, 255)])
+def test_fiber_table_walks_the_image_not_the_level(level, adds):
+    # y^5 + y = x^3 over q = 5: |F(level)| = 5 or 125 and |ker F| = 5, so
+    # 2 |F(level)| + |ker F| adds where a walk of the level takes 24 or 624 per column;
+    # the images F(b) of the basis are read from a table, not counted
+    t = build_tower(5, 1)
+    curve = hermitian_curve(t, 3)
+    curve.f_eval = {y: curve.f_eval(y) for y in t.elements(level)}.__getitem__
+    calls = []
+    real_add = t.add
+
+    def counting(x, y):
+        calls.append(1)
+        return real_add(x, y)
+
+    t.add = counting
+    solmap, kernel = curve._fiber_table(level)
+    del t.add
+    assert 2 * len(solmap) + len(kernel) == adds
+    assert len(calls) <= adds
 
 
 def direct_count(curve, level):
@@ -177,10 +208,13 @@ def test_count_by_logs_matches_direct_pass_on_fixtures(request, name):
 
 
 # y^p + y = x^d; gcd(d, Q - 1) < d for d = 7, 10 over q = 3 and d = 9 over q = 5
+# d = 17 over q = 4: the 17th powers and 0 are F_16 at level 4, so it is
+# counted by ranks there
 @pytest.mark.parametrize("tower,d", [("t3", 2), ("t5", 3), ("t4", 5), ("t3", 7),
-                                     ("t3", 10), ("t5", 9), ("t3", 1), ("t8", 1)],
+                                     ("t3", 10), ("t5", 9), ("t3", 1), ("t8", 1),
+                                     ("t4", 17)],
                          ids=["h23", "h35", "add45", "nonmax", "q3d10", "q5d9",
-                              "q3d1", "q8d1"])
+                              "q3d1", "q8d1", "q4d17"])
 def test_count_by_logs_matches_direct_pass(request, tower, d):
     t = request.getfixturevalue(tower)
     curve = define_curve(t, (1, 1), d)
