@@ -12,14 +12,19 @@ point set of a maximal trace-family curve.
 
 G is generated by the q^2-power Frobenius sigma, the translations
 y -> y + kappa with kappa in ker F and in k, and the scalings
-x -> zeta * x with zeta^d = 1 and zeta in k.  The translations and
-scalings are automorphisms fixing P_infinity, so they carry
-L((q+1) * P_infinity) to itself, and sigma conjugates the expansion of
-every k-rational function; so the orders of the system, rationality
-and x = 0 are constant on each orbit (Stohr-Voloch 1986).  Since zeta
-and kappa lie in k, the maps commute and the orbit of (x, y) is the set
-of (zeta * sigma^e(x), sigma^e(y) + kappa).  The exhaustive map, one
-`order_sequence` per point, survives only as the test oracle.
+(x, y) -> (alpha * x, alpha^d * y) with alpha in k and alpha^d in
+F_{p^s}, s = gcd(2a, {i > 0 : a_i != 0}), so that
+F(alpha^d * y) = alpha^d * F(y).  The translations and scalings are
+automorphisms fixing P_infinity, so they carry L((q+1) * P_infinity) to
+itself, and sigma conjugates the expansion of every k-rational
+function; so the orders of the system, rationality and x = 0 are
+constant on each orbit (Stohr-Voloch 1986).  Since alpha and kappa lie
+in k, the maps commute, and the orbit of (x, y) is the set of
+(alpha * sigma^e(x), alpha^d * sigma^e(y) + kappa).  `order_sequences`
+lists no points over F_{q^4}: it walks the classes of x under
+x -> alpha * sigma^e(x) and splits the fiber y0 + ker F over each
+class representative under the stabilizer of x.  The exhaustive map,
+one `order_sequence` per point, survives only as the test oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curve_model import INFINITY, CurveModel, Point
+from .curve_model import INFINITY, CurveModel, Point, _echelon, _span
 from .field_tower import PrecisionError
 from .function_field import monomial_series, rr_basis
 from .linalg import row_echelon
@@ -93,12 +98,17 @@ def order_sequence(curve: CurveModel, P: Point) -> tuple[int, ...]:
     return tuple(pivots)
 
 
-def _orbit_group(curve: CurveModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(mu_d(k), ker F in k): the x-scalings and y-translations of G."""
+def _orbit_group(curve: CurveModel) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """(the pairs (alpha, alpha^d), ker F in k): the scalings and translations of G.
+
+    The alpha are the g-th roots of unity, g = gcd(d (p^s - 1), q^2 - 1):
+    exactly the alpha in k with alpha^d in F_{p^s} (module docstring).
+    """
     t = curve.tower
-    g = math.gcd(curve.d, t.q2 - 1)
-    zeta = t.pow(t.xi, (t.q2 - 1) // g)
-    return tuple(t.pow(zeta, i) for i in range(g)), curve._fiber_table(2)[1]
+    s = math.gcd(2 * t.a, *(i for i, c in enumerate(curve.f_coeffs) if i and c))
+    g = math.gcd(curve.d * (t.p ** s - 1), t.q2 - 1)
+    alphas = [t.pow(t.xi, (t.q2 - 1) // g * i) for i in range(g)]
+    return tuple((alpha, t.pow(alpha, curve.d)) for alpha in alphas), curve._fiber_table(2)[1]
 
 
 # {representative: (orders, size)}: one entry per orbit of G (module docstring)
@@ -108,31 +118,59 @@ OrbitTable = dict[Point, tuple[tuple[int, ...], int]]
 def order_sequences(curve: CurveModel) -> OrbitTable:
     """{representative: (orders, size)}, one entry per orbit of G over F_{q^4}.
 
-    G is generated by sigma (the q^2-power Frobenius), y -> y + kappa
-    (kappa in ker F and in k) and x -> zeta * x (zeta in k, zeta^d = 1);
-    the orders are constant on its orbits (module docstring).  The
-    representative is the first point of its orbit in enumeration order;
-    size counts the distinct images (zeta * sigma^e(x), sigma^e(y) + kappa),
-    which repeat at x = 0 and at sigma-fixed points.  An image that is not
-    an unseen enumerated point raises RuntimeError, so a map outside G
-    cannot fill the table, and the orbits partition the points.
+    The classes of x != 0 under x -> alpha * sigma^e(x) are, in logs, the
+    residues r mod M = (q^4 - 1)/g under r -> q^2 r; x = 0 is its own
+    class.  x^d is reduced against the pivots of F on F_{q^4}: a class
+    whose x^d is no value of F has no points, any other the fiber
+    y0 + ker F.  The fiber splits under the translations and the
+    stabilizer of x: all of G at x = 0, y -> beta * sigma(y) with
+    beta = alpha^d, alpha = x^(1 - q^2) when q^2 r = r mod M, and nothing
+    more otherwise.  An orbit's size is the class size times its
+    suborbit's.  RuntimeError is raised when a pair (alpha, beta) is no
+    automorphism, a fiber image is off the curve or in an earlier
+    suborbit, or the sizes do not sum to `count(4)`.
     """
     t = curve.tower
-    roots, kernel = _orbit_group(curve)
-    points = curve.enumerate_points(4)
-    unseen = set(points)
-    out = {}
-    for P in points:
-        if P not in unseen:
-            continue
-        orbit = {P} if P.is_infinity else {
-            Point(t.mul(zeta, R.x), t.add(R.y, kappa))
-            for R in (P, curve.frobenius(P)) for zeta in roots for kappa in kernel}
-        if not orbit <= unseen:
-            raise RuntimeError(f"orbit image {min(orbit - unseen, key=repr)} of {P} "
-                               "is not on the curve or lies in an earlier orbit")
-        unseen -= orbit
-        out[P] = (order_sequence(curve, P), len(orbit))
+    pairs, kernel = _orbit_group(curve)
+    for alpha, beta in pairs:
+        if any(t.pow(alpha, curve.d) != t.pow(beta, t.p ** i)
+               for i, c in enumerate(curve.f_coeffs) if c):
+            raise RuntimeError(f"(x, y) -> ({alpha} x, {beta} y) is not an "
+                               "automorphism of the curve")
+    pivots, basis = curve._eliminate(4)
+    ker4 = _span(t, basis)
+    out = {INFINITY: (order_sequence(curve, INFINITY), 1)}
+
+    def split(x, class_size, stabilizer):
+        found = _echelon(t, [(t.pow(x, curve.d), 0)], dict(pivots))
+        fiber = [t.sub(kap, found[0]) for kap in ker4] if found else []
+        unseen = set(fiber)
+        for y in fiber:
+            if y not in unseen:
+                continue
+            P = Point(x, y)
+            images = {t.add(t.mul(beta, t.frobenius_k(y) if e else y), kappa)
+                      for beta, e in stabilizer for kappa in kernel}
+            if not images <= unseen:
+                raise RuntimeError(f"orbit image y = {min(images - unseen)} of {P} "
+                                   "is not on the curve or lies in an earlier orbit")
+            unseen -= images
+            out[P] = (order_sequence(curve, P), class_size * len(images))
+
+    g, n1, q2 = len(pairs), t.order - 1, t.q2
+    M = n1 // g
+    scale = dict(pairs)
+    split(0, 1, [(beta, e) for beta in set(scale.values()) for e in (0, 1)])
+    for r in range(M):
+        r2 = r * q2 % M
+        if r2 > r:  # r is the least of its class
+            split(t._exp[r], 2 * g, [(1, 0)])
+        elif r2 == r:  # alpha * sigma(x) = x
+            split(t._exp[r], g, [(1, 0), (scale[t._exp[r * (1 - q2) % n1]], 1)])
+    total = sum(size for _, size in out.values())
+    if total != curve.count(4):
+        raise RuntimeError(f"orbit sizes sum to {total}, not the "
+                           f"{curve.count(4)} points over F_(q^4)")
     return out
 
 

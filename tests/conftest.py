@@ -105,15 +105,17 @@ def nonmax(t3):
 # ---------------------------------------------------------------------------
 
 def _orbit(curve, P):
-    """The orbit of P, closed under sigma and the maps of _orbit_group one at a time."""
+    """The orbit of P, closed under sigma and the maps of _orbit_group one at a time:
+    the scalings (x, y) -> (alpha * x, beta * y) and the translations y -> y + kappa."""
     if P.is_infinity:
         return {P}
     t = curve.tower
-    roots, kernel = weierstrass._orbit_group(curve)
+    pairs, kernel = weierstrass._orbit_group(curve)
     orbit, todo = {P}, [P]
     while todo:
         R = todo.pop()
-        steps = ([curve.frobenius(R)] + [Point(t.mul(zeta, R.x), R.y) for zeta in roots]
+        steps = ([curve.frobenius(R)]
+                 + [Point(t.mul(alpha, R.x), t.mul(beta, R.y)) for alpha, beta in pairs]
                  + [Point(R.x, t.add(R.y, kappa)) for kappa in kernel])
         for S in steps:
             if S not in orbit:

@@ -34,6 +34,12 @@ GOLDEN = [
      "d7dd31dfdfe63cd5bbc9a50cc731be7980a68a0c4e8bfde52d39a427b402c063"),
     ("audit --p 7 --a 1 --hermitian-m 4 --sample-seed 3", 0,
      "8d87bd3b5d5998f8e861e69a3c4e701596351f4a9bab7b56802ef6522e56e018"),
+    ("audit --p 3 --a 2 --hermitian-m 5", 0,
+     "92d8114cf27fc206606175488c0c44f1ea0522e20cf022442cc560fde2abbc23"),
+    ("audit --p 5 --a 2 --hermitian-m 2", 0,
+     "3bcbbd131dc3ba194f69715e49474cec9b9f223e42b9dafdd927fe40db22cee4"),
+    ("audit --p 2 --a 3 --additive 1,0,1 --d 3", 1,
+     "0989bbf6c73d0761a4eb5466124187b472aef9600d3d2a7230c1a214ebdca6bf"),
     ("conjecture --p 2 --a 2 --m1 2", 0,
      "c7d6f439f33609666f649641b7874f3eec39f15506ffe420050161a15f75497b"),
     ("conjecture --p 2 --a 2 --m1 2 --scan-budget 32", 3,

@@ -364,7 +364,7 @@ def test_audit_verdict_needs_every_check(h23, monkeypatch, name, spoil):
 
 
 def test_audit_computes_each_order_sequence_once(h35, monkeypatch, check_orbit_table):
-    # one order_sequence per orbit of G: 18 orbits among the 426 points
+    # one order_sequence per orbit of G: 7 orbits among the 426 points
     import maxcurves.verdicts as verdicts
     import maxcurves.weierstrass as weierstrass
     seen = []
@@ -384,13 +384,28 @@ def test_audit_computes_each_order_sequence_once(h35, monkeypatch, check_orbit_t
     monkeypatch.setattr(verdicts, "order_sequences", kept)
     rep = audit(h35)
     assert rep.all_identities
-    assert len(seen) == len(set(seen)) == 18
+    assert len(seen) == len(set(seen)) == 7
     assert rep.ramification.nonrational_checked == 426 - 66
     assert len(maps) == 1
     table = maps[0]
-    assert len(table) == 18
+    assert len(table) == 7
     assert sum(size for _, size in table.values()) == 426
     check_orbit_table(h35, table)
+
+
+def test_audit_never_lists_the_quartic_points(h35, monkeypatch):
+    # the orbit table comes from classes of x; level-4 points and the
+    # level-4 fiber table are left to --emit and the test oracles
+    from maxcurves.curve_model import CurveModel
+    for name in ("enumerate_points", "_fiber_table"):
+        real = getattr(CurveModel, name)
+
+        def guarded(curve, level, real=real, name=name):
+            if level == 4:
+                raise AssertionError(f"{name}(4) called by the audit")
+            return real(curve, level)
+        monkeypatch.setattr(CurveModel, name, guarded)
+    assert audit(h35).all_identities
 
 
 def _read(reader, curve, table):

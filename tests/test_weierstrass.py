@@ -193,20 +193,28 @@ def _random_additive(tower, d, seed):
     return define_curve(tower, coeffs, d)
 
 
-def test_orbit_fold_matches_exhaustive(request, t3, t4, t5, t7, check_orbit_table):
+def test_orbit_fold_matches_exhaustive(request, t3, t4, t5, t7, t8, check_orbit_table):
     curves = [request.getfixturevalue(name)
               for name in ("h32", "h23", "h43", "h25", "h35", "add45")]
     curves += [hermitian_curve(t7, 4), hermitian_curve(t7, 8)]
-    # ker F in k and mu_d(k) both vary: |mu_d(k)| = gcd(d, q^2 - 1)
+    # ker F in k and the scalings both vary: g = gcd(d (p^s - 1), q^2 - 1) of them
     for tower, ds in ((t3, (2, 4, 7)), (t4, (3, 7)), (t5, (2, 3, 4, 7))):
         curves += [_random_additive(tower, d, seed=10 * tower.q + d) for d in ds]
-    assert len(curves) == 17
+    # y^4 + y = x^d over F_64: s = 2 lies strictly between 1 and 2a = 6;
+    # y^3 - xi * y = x^8 over F_9: ker F = F_3 * y0 with y0^2 = xi a non-square,
+    # so y0 lies outside k, and as every alpha^8 = 1 only sigma joins y0 and -y0
+    extra = [define_curve(t8, (1, 0, 1), d) for d in (3, 7, 9)]
+    extra.append(define_curve(t3, (t3.neg(t3.xi), 1), 8))
+    curves += extra
+    assert len(curves) == 21
     sizes = set()
     for curve in curves:
         check_orbit_table(curve, order_sequences(curve))
-        roots, kernel = weierstrass._orbit_group(curve)
-        sizes.add((len(roots), len(kernel)))
+        pairs, kernel = weierstrass._orbit_group(curve)
+        sizes.add((len(pairs), len(kernel)))
     assert len({r for r, _ in sizes}) > 2 and len({k for _, k in sizes}) > 2
+    assert {beta for _, beta in weierstrass._orbit_group(extra[-1])[0]} == {1}
+    assert [len(order_sequences(curve)) for curve in extra] == [57, 27, 57, 13]
 
 
 def test_orbit_image_off_the_curve_raises(h35, monkeypatch):
@@ -215,6 +223,25 @@ def test_orbit_image_off_the_curve_raises(h35, monkeypatch):
     monkeypatch.setattr(weierstrass, "_orbit_group",
                         lambda curve: (roots, kernel + (1,)))
     with pytest.raises(RuntimeError, match="is not on the curve"):
+        order_sequences(h35)
+
+
+def test_orbit_scaling_off_the_curve_raises(h35, monkeypatch):
+    # all of k* as the alpha: alpha^d leaves F_5 for half of them, so
+    # (alpha * x, alpha^d * y) is no automorphism of y^5 + y = x^3
+    t = h35.tower
+    _, kernel = weierstrass._orbit_group(h35)
+    units = [t.pow(t.xi, i) for i in range(t.q2 - 1)]
+    monkeypatch.setattr(weierstrass, "_orbit_group", lambda curve: (
+        tuple((alpha, t.pow(alpha, curve.d)) for alpha in units), kernel))
+    with pytest.raises(RuntimeError, match="is not an automorphism"):
+        order_sequences(h35)
+
+
+def test_orbit_sizes_must_sum_to_the_quartic_count(h35, monkeypatch):
+    # the walk's sizes total 426; a count of 427 must stop the table
+    monkeypatch.setattr(type(h35), "count", lambda curve, level: 427)
+    with pytest.raises(RuntimeError, match="orbit sizes sum to 426, not the 427"):
         order_sequences(h35)
 
 
