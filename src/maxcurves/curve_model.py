@@ -1,10 +1,12 @@
 """Plane models F(y) = x^d over k = F_{q^2} with F additive.
 
 F(T) = sum a_i T^(p^i) is F_p-linear with a_0 != 0, so every affine
-fiber of x is smooth and is a coset of ker F.  Counts and fiber tables
-start from one `_echelon` of the pairs (F(b), b) over an F_p-basis b of
-the level: the pivot values span F(level), each with a preimage, and the
-pairs that reduce to 0 give a basis of ker F.  Counts build no points.
+fiber of x is smooth and is y0 + ker F.  Each level has one `_echelon`
+of the pairs (F(b), b) over an F_p-basis b of the level, run once per
+curve: the pivot values span F(level), each with a preimage, and the
+pairs that reduce to 0 give a basis of ker F.  `fiber(x, level)` reduces
+(x^d, 0) against those pivots; the fiber is empty unless x^d is a value
+of F.  Counts build no points.
 On the unit group of a level of order Q, x -> x^d is g-to-1 onto the
 exp[k] with k = 0 mod step, g = gcd(d, Q - 1), step = (q^4 - 1)/(Q - 1)*g,
 so the count is 1 + |ker F| * (1 + g * hits), hits the number of
@@ -12,7 +14,7 @@ z != 0 in F(level) with log z = 0 mod step.  When those powers and 0 form
 a subfield L = F_{p^j}, that is (Q - 1)/g + 1 = p^j, hits + 1 = p^i with
 i the number of the basis vectors 1, eta, ..., eta^(j-1) of L,
 eta = exp[step], that reduce to 0 against the pivots of F; otherwise the
-count walks the span of the pivot values.  The family tagged
+count walks F(level).  The family tagged
 "hermitian-type" is y^q + y = x^m with m dividing q + 1; m = q + 1 gives
 the Hermitian curve itself.
 """
@@ -118,7 +120,7 @@ class CurveModel:
         self.e = len(f_coeffs) - 1
         self.deg_f = tower.p ** self.e
         self.genus = (self.deg_f - 1) * (d - 1) // 2
-        self._fibers: dict[int, tuple[dict[int, int], tuple[int, ...]]] = {}
+        self._echelons: dict[int, tuple[dict[int, tuple[int, int]], tuple[int, ...]]] = {}
         self._counts: dict[int, int] = {}
         self._points: dict[int, tuple[Point, ...]] = {}
 
@@ -141,44 +143,41 @@ class CurveModel:
 
     # -- point enumeration -----------------------------------------------------
 
-    def _eliminate(self, level: int) -> tuple[dict[int, tuple[int, int]], list[int]]:
-        """(pivots, kernel basis) of F on the level from one `_echelon` pass."""
-        t = self.tower
-        pivots: dict[int, tuple[int, int]] = {}
-        kernel = _echelon(t, [(self.f_eval(b), b) for b in _basis(t, level)], pivots)
-        return pivots, kernel
-
-    def _fiber_table(self, level: int):
-        """(solmap, kernel) of F on the level: one preimage per value, ker F.
-
-        Spans of the pivot values and, in step, of their preimages, and of
-        the kernel basis: 2 |F(level)| + |ker F| adds.
-        """
-        if level not in self._fibers:
+    def _eliminate(self, level: int) -> tuple[dict[int, tuple[int, int]], tuple[int, ...]]:
+        """(pivots, ker F) on the level from one `_echelon` pass, once per level."""
+        if level not in self._echelons:
             t = self.tower
-            pivots, kernel = self._eliminate(level)
-            solmap = dict(zip(_span(t, [v for v, _ in pivots.values()]),
-                              _span(t, [b for _, b in pivots.values()])))
-            self._fibers[level] = (solmap, tuple(_span(t, kernel)))
-        return self._fibers[level]
+            pivots: dict[int, tuple[int, int]] = {}
+            basis = _echelon(t, [(self.f_eval(b), b) for b in _basis(t, level)], pivots)
+            self._echelons[level] = (pivots, tuple(_span(t, basis)))
+        return self._echelons[level]
+
+    def kernel(self, level: int) -> tuple[int, ...]:
+        """ker F on the level."""
+        return self._eliminate(level)[1]
+
+    def image(self, level: int) -> list[int]:
+        """F(level), the F_p-span of the pivot values: one add per element."""
+        return _span(self.tower, [v for v, _ in self._eliminate(level)[0].values()])
+
+    def fiber(self, x: int, level: int) -> tuple[int, ...]:
+        """The y over the level with F(y) = x^d: y0 + ker F, or () when
+        x^d is no value of F.  (x^d, 0) reduces to (0, -y0) against a copy
+        of the pivots."""
+        t = self.tower
+        pivots, kernel = self._eliminate(level)
+        found = _echelon(t, [(t.pow(x, self.d), 0)], dict(pivots))
+        return tuple(t.sub(kap, found[0]) for kap in kernel) if found else ()
 
     def enumerate_points(self, level: int) -> tuple[Point, ...]:
         """All points over the given level, x then y in lex order, infinity last."""
-        if level in self._points:
-            return self._points[level]
-        t = self.tower
-        solmap, kernel = self._fiber_table(level)
-        pts: list[Point] = []
-        for x in t.elements(level):
-            y0 = solmap.get(t.pow(x, self.d))
-            if y0 is None:
-                continue
-            ys = sorted((t.add(y0, kap) for kap in kernel), key=t.lex_rank)
-            pts.extend(Point(x, y) for y in ys)
-        pts.append(INFINITY)
-        out = tuple(pts)
-        self._points[level] = out
-        return out
+        if level not in self._points:
+            t = self.tower
+            pts = [Point(x, y) for x in t.elements(level)
+                   for y in sorted(self.fiber(x, level), key=t.lex_rank)]
+            pts.append(INFINITY)
+            self._points[level] = tuple(pts)
+        return self._points[level]
 
     def count(self, level: int) -> int:
         """Number of points over the level, computed once per level."""
@@ -188,7 +187,7 @@ class CurveModel:
 
     def _count(self, level: int) -> int:
         """1 + |ker F| * (1 + g * hits), hits by the subfield rank or by a
-        walk of F(level) (module docstring); the inner 1 is x = 0."""
+        walk of `image(level)` (module docstring); the inner 1 is x = 0."""
         t = self.tower
         pivots, kernel = self._eliminate(level)
         Q = t.level_order(level)
@@ -199,12 +198,11 @@ class CurveModel:
         if t.p ** j == size:
             eta = t._exp[step % (t.order - 1)]
             # the basis vectors of L that reduce to 0 span F(level) & L
-            shared = _echelon(t, [(t.pow(eta, i), 0) for i in range(j)], pivots)
+            shared = _echelon(t, [(t.pow(eta, i), 0) for i in range(j)], dict(pivots))
             hits = t.p ** len(shared) - 1
         else:
-            hits = sum(1 for z in _span(t, [v for v, _ in pivots.values()])
-                       if z and t._log[z] % step == 0)
-        return 1 + t.p ** len(kernel) * (1 + g * hits)
+            hits = sum(1 for z in self.image(level) if z and t._log[z] % step == 0)
+        return 1 + len(kernel) * (1 + g * hits)
 
     # -- maximality --------------------------------------------------------------
 

@@ -232,7 +232,6 @@ class FieldTower:
         if p == 2:
             self._fmask = sum(c << i for i, c in enumerate(self.modulus))
         self._build_tables()
-        self.xi = self._find_k_generator()
         # rev[x] for x < q^2: the 2a residue digits of x in reverse order
         half_top = self.q2 // p
         rev = [0] * self.q2
@@ -240,6 +239,7 @@ class FieldTower:
             rev[x] = rev[x // p] // p + (x % p) * half_top
         self._rev = rev
         self._level_cache: dict[int, tuple[int, ...]] = {}
+        self.xi = self._find_k_generator()
 
     # -- construction ------------------------------------------------------
 
@@ -322,14 +322,10 @@ class FieldTower:
             self._zech = zech
 
     def _find_k_generator(self) -> int:
+        """The lex-first generator of F_{q^2}*, read from the listing of k."""
         target = self.q2 - 1
         fac = prime_factors(target)
-        for tail in itertools.product(range(self.p), repeat=self.degree):
-            x = self.element(tail)
-            if x == 0:
-                continue
-            if self.pow(x, target) != 1:
-                continue
+        for x in self.elements(2)[1:]:
             if all(self.pow(x, target // f) != 1 for f in fac):
                 return x
         raise RuntimeError("no generator of F_{q^2}* found")  # unreachable

@@ -123,7 +123,7 @@ def normalize_model(tower: FieldTower, a: int, b: int, m: int) -> NormalizationR
         raise ValueError("the model is not maximal; nothing to normalize")
     n = (q + 1) // m
     level1 = tower.elements(1)
-    image = curve._fiber_table(2)[0].keys()
+    image = set(curve.image(2))
     index = None
     for i in range(n):
         scale = tower.pow(tower.xi, i * m)

@@ -22,9 +22,10 @@ constant on each orbit (Stohr-Voloch 1986).  Since alpha and kappa lie
 in k, the maps commute, and the orbit of (x, y) is the set of
 (alpha * sigma^e(x), alpha^d * sigma^e(y) + kappa).  `order_sequences`
 lists no points over F_{q^4}: it walks the classes of x under
-x -> alpha * sigma^e(x) and splits the fiber y0 + ker F over each
-class representative under the stabilizer of x.  The exhaustive map,
-one `order_sequence` per point, survives only as the test oracle.
+x -> alpha * sigma^e(x) and splits the fiber `curve.fiber(x, 4)`,
+y0 + ker F or nothing, over each class representative under the
+stabilizer of x.  The exhaustive map, one `order_sequence` per point,
+survives only as the test oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curve_model import INFINITY, CurveModel, Point, _echelon, _span
+from .curve_model import INFINITY, CurveModel, Point
 from .field_tower import PrecisionError
 from .function_field import monomial_series, rr_basis
 from .linalg import row_echelon
@@ -108,7 +109,7 @@ def _orbit_group(curve: CurveModel) -> tuple[tuple[tuple[int, int], ...], tuple[
     s = math.gcd(2 * t.a, *(i for i, c in enumerate(curve.f_coeffs) if i and c))
     g = math.gcd(curve.d * (t.p ** s - 1), t.q2 - 1)
     alphas = [t.pow(t.xi, (t.q2 - 1) // g * i) for i in range(g)]
-    return tuple((alpha, t.pow(alpha, curve.d)) for alpha in alphas), curve._fiber_table(2)[1]
+    return tuple((alpha, t.pow(alpha, curve.d)) for alpha in alphas), curve.kernel(2)
 
 
 # {representative: (orders, size)}: one entry per orbit of G (module docstring)
@@ -120,12 +121,11 @@ def order_sequences(curve: CurveModel) -> OrbitTable:
 
     The classes of x != 0 under x -> alpha * sigma^e(x) are, in logs, the
     residues r mod M = (q^4 - 1)/g under r -> q^2 r; x = 0 is its own
-    class.  x^d is reduced against the pivots of F on F_{q^4}: a class
-    whose x^d is no value of F has no points, any other the fiber
-    y0 + ker F.  The fiber splits under the translations and the
-    stabilizer of x: all of G at x = 0, y -> beta * sigma(y) with
-    beta = alpha^d, alpha = x^(1 - q^2) when q^2 r = r mod M, and nothing
-    more otherwise.  An orbit's size is the class size times its
+    class.  A class whose x^d is no value of F has no points, any other
+    the fiber y0 + ker F of `curve.fiber(x, 4)`.  The fiber splits under
+    the translations and the stabilizer of x: all of G at x = 0,
+    y -> beta * sigma(y) with beta = alpha^d, alpha = x^(1 - q^2) when
+    q^2 r = r mod M, and nothing more otherwise.  An orbit's size is the class size times its
     suborbit's.  RuntimeError is raised when a pair (alpha, beta) is no
     automorphism, a fiber image is off the curve or in an earlier
     suborbit, or the sizes do not sum to `count(4)`.
@@ -137,13 +137,10 @@ def order_sequences(curve: CurveModel) -> OrbitTable:
                for i, c in enumerate(curve.f_coeffs) if c):
             raise RuntimeError(f"(x, y) -> ({alpha} x, {beta} y) is not an "
                                "automorphism of the curve")
-    pivots, basis = curve._eliminate(4)
-    ker4 = _span(t, basis)
     out = {INFINITY: (order_sequence(curve, INFINITY), 1)}
 
     def split(x, class_size, stabilizer):
-        found = _echelon(t, [(t.pow(x, curve.d), 0)], dict(pivots))
-        fiber = [t.sub(kap, found[0]) for kap in ker4] if found else []
+        fiber = curve.fiber(x, 4)
         unseen = set(fiber)
         for y in fiber:
             if y not in unseen:
@@ -362,6 +359,5 @@ def _fiber_census(curve: CurveModel) -> bool:
         if x:
             v = tower.pow(x, curve.d)
             root_count[v] = root_count.get(v, 0) + 1
-    solmap, kernel = curve._fiber_table(2)
-    return (len(kernel) == q
-            and all(root_count.get(v, 0) == curve.d for v in solmap if v))
+    return (len(curve.kernel(2)) == q
+            and all(root_count.get(v, 0) == curve.d for v in curve.image(2) if v))

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import maxcurves.curve_model as curve_model
 import maxcurves.verdicts as verdicts
 
 from maxcurves import (
@@ -20,6 +21,7 @@ from maxcurves import (
     dichotomy_check,
     hermitian_curve,
     is_trace_shaped,
+    order_sequences,
 )
 
 
@@ -138,16 +140,25 @@ def mid95(t9):
 @pytest.mark.parametrize("name", ["h32", "h23", "h43", "h25", "h35", "add45", "nonmax",
                                   "mid95"])
 def test_fiber_table_matches_f_eval(request, name):
+    # fiber, image and kernel against the values of F at every y of the
+    # level, and fiber(x) against them at every x
     curve = request.getfixturevalue(name)
     t = curve.tower
     for level in (2, 4):
-        solmap, kernel = curve._fiber_table(level)
-        assert len(solmap) * len(kernel) == t.level_order(level)
-        values = {y: curve.f_eval(y) for y in t.elements(level)}
-        assert set(solmap) == set(values.values())
-        for z, y in solmap.items():
-            assert y in values and curve.f_eval(y) == z
-        assert sorted(kernel) == sorted(y for y, z in values.items() if z == 0)
+        image, kernel = curve.image(level), curve.kernel(level)
+        assert len(set(image)) * len(set(kernel)) == len(image) * len(kernel) \
+            == t.level_order(level)
+        preimages = {}
+        for y in t.elements(level):
+            preimages.setdefault(curve.f_eval(y), []).append(y)
+        assert set(image) == set(preimages)
+        assert sorted(kernel) == sorted(preimages[0])
+        sizes = 0
+        for x in t.elements(level):
+            ys = curve.fiber(x, level)
+            assert sorted(ys) == sorted(preimages.get(t.pow(x, curve.d), []))
+            sizes += len(ys)
+        assert sizes == curve.count(level) - 1
 
 
 @pytest.mark.parametrize("tower,d", [("t3", 2), ("t5", 3), ("t4", 5), ("t3", 7)],
@@ -158,17 +169,17 @@ def test_count_builds_no_points_and_matches_enumeration(request, tower, d):
     for level in (2, 4):
         curve = define_curve(t, (1, 1), d)
         n = curve.count(level)
-        assert not curve._points and level not in curve._fibers
+        assert not curve._points and list(curve._echelons) == [level]
         assert n == len(curve.enumerate_points(level))
         curve = define_curve(t, (1, 1), d)
         n = len(curve.enumerate_points(level))
         assert curve.count(level) == n
 
 
-@pytest.mark.parametrize("level,adds", [(2, 15), (4, 255)])
-def test_fiber_table_walks_the_image_not_the_level(level, adds):
+@pytest.mark.parametrize("level,adds", [(2, 10), (4, 130)])
+def test_image_and_kernel_walk_the_image_not_the_level(level, adds):
     # y^5 + y = x^3 over q = 5: |F(level)| = 5 or 125 and |ker F| = 5, so
-    # 2 |F(level)| + |ker F| adds where a walk of the level takes 24 or 624 per column;
+    # |F(level)| + |ker F| adds where a walk of the level takes 24 or 624;
     # the images F(b) of the basis are read from a table, not counted
     t = build_tower(5, 1)
     curve = hermitian_curve(t, 3)
@@ -181,18 +192,18 @@ def test_fiber_table_walks_the_image_not_the_level(level, adds):
         return real_add(x, y)
 
     t.add = counting
-    solmap, kernel = curve._fiber_table(level)
+    image, kernel = curve.image(level), curve.kernel(level)
     del t.add
-    assert 2 * len(solmap) + len(kernel) == adds
+    assert len(image) + len(kernel) == adds
     assert len(calls) <= adds
 
 
 def direct_count(curve, level):
     """The count as a direct pass: 1 + |ker F| * #{x : x^d is a value of F}."""
     t = curve.tower
-    solmap, kernel = curve._fiber_table(level)
-    hits = sum(1 for x in t.elements(level) if t.pow(x, curve.d) in solmap)
-    return 1 + len(kernel) * hits
+    image = set(curve.image(level))
+    hits = sum(1 for x in t.elements(level) if t.pow(x, curve.d) in image)
+    return 1 + len(curve.kernel(level)) * hits
 
 
 FIXTURE_CURVES = ["h32", "h23", "h43", "h25", "h35", "add45", "nonmax"]
@@ -225,31 +236,32 @@ def test_count_by_logs_matches_direct_pass(request, tower, d):
 
 
 def log_count(curve, level):
-    """The level count by logs over the fiber table, for every d."""
+    """The level count by logs over the image of F, for every d."""
     t = curve.tower
-    solmap, kernel = curve._fiber_table(level)
     Q = t.level_order(level)
     g = gcd(curve.d, Q - 1)
     step = (t.order - 1) // (Q - 1) * g
-    powers = sum(1 for z in solmap if z and t._log[z] % step == 0)
-    return 1 + len(kernel) * (1 + g * powers)
+    powers = sum(1 for z in curve.image(level) if z and t._log[z] % step == 0)
+    return 1 + len(curve.kernel(level)) * (1 + g * powers)
 
 
 def assert_rank_count(t, coeffs, d):
-    """A fresh curve counts level 2 by ranks or residues, without a fiber
-    table, as the logs and the direct pass over the fiber table do."""
+    """A fresh curve counts level 2 by ranks or a walk of F(k), from one
+    elimination and without points, as the logs and the direct pass over
+    the image of F do."""
     curve = define_curve(t, coeffs, d)
     n = curve._count(2)
-    assert not curve._fibers
+    assert list(curve._echelons) == [2] and not curve._points
     assert n == log_count(curve, 2) == direct_count(curve, 2)
 
 
 def assert_quartic_count(t, coeffs, d):
-    """A fresh curve counts level 4 by residues, without a fiber table, as
-    the logs and the direct pass over the fiber table do."""
+    """A fresh curve counts level 4 by ranks or a walk of F(F_{q^4}), from
+    one elimination and without points, as the logs and the direct pass
+    over the image of F do."""
     curve = define_curve(t, coeffs, d)
     n = curve.count(4)
-    assert 4 not in curve._fibers and not curve._points
+    assert list(curve._echelons) == [4] and not curve._points
     assert n == log_count(curve, 4) == direct_count(curve, 4)
 
 
@@ -298,14 +310,15 @@ def test_quartic_count_with_a_middle_coefficient(t16):
 
 
 def test_curve_command_builds_no_quartic_table(monkeypatch, capsys):
+    # without --emit the curve command counts points and lists none
     levels = []
-    real = CurveModel._fiber_table
+    real = CurveModel.enumerate_points
 
     def recording(self, level):
         levels.append(level)
         return real(self, level)
 
-    monkeypatch.setattr(CurveModel, "_fiber_table", recording)
+    monkeypatch.setattr(CurveModel, "enumerate_points", recording)
     for argv in (["--p", "3", "--a", "1", "--hermitian-m", "2"],
                  ["--p", "2", "--a", "3", "--additive", "1,1", "--d", "3"],
                  ["--p", "3", "--a", "1", "--additive", "1,1", "--d", "7"]):
@@ -318,7 +331,7 @@ def test_count_by_logs_when_the_powers_are_no_subfield(t8):
     # d = 3 at q = 8: the 21 cubes of F_64* and 0 are no subfield
     curve = define_curve(t8, (1, 1), 3)
     n = curve._count(2)
-    assert 2 not in curve._fibers
+    assert list(curve._echelons) == [2] and not curve._points
     assert n == log_count(curve, 2) == direct_count(curve, 2)
 
 
@@ -337,6 +350,28 @@ def test_count_runs_once_per_level(monkeypatch, capsys, t4):
     rep = conjecture_explore(t4, 2)
     assert rep.hits
     assert calls == [2] * rep.tested
+
+
+def test_one_elimination_per_level(monkeypatch, t5):
+    # every reader of F on a level shares one elimination; only the body
+    # of _eliminate calls _basis
+    calls = []
+    real = curve_model._basis
+
+    def counting(tower, level):
+        calls.append(level)
+        return real(tower, level)
+
+    monkeypatch.setattr(curve_model, "_basis", counting)
+    curve = hermitian_curve(t5, 3)  # fresh y^5 + y = x^3
+    for level in (2, 4):
+        n = curve.count(level)
+        assert len(curve.kernel(level)) == 5
+        assert len(curve.image(level)) == t5.level_order(level) // 5
+        assert sum(len(curve.fiber(x, level)) for x in t5.elements(level)) == n - 1
+        assert len(curve.enumerate_points(level)) == n
+    assert sum(size for _, size in order_sequences(curve).values()) == curve.count(4)
+    assert sorted(calls) == [2, 4]
 
 
 # ---------------------------------------------------------------------------

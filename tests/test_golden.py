@@ -2,7 +2,8 @@
 
 Each golden entry is the sha256 of stdout and the exit code recorded
 from the reference implementation; any change to the JSON a subcommand
-prints, down to key order and whitespace, fails here.  The scripts and
+prints, down to key order and whitespace, fails here, and so does any
+change to the point listings that `curve --emit` writes.  The scripts and
 the README examples are held to the same output.
 """
 
@@ -80,6 +81,20 @@ GOLDEN = [
      "0e346d86e847043e0307c2f48c5f10987db7165f1c97038a34807e2839721b23"),
 ]
 
+# sha256 of the CSV that `curve ... --emit` writes: the point listings
+EMIT_GOLDEN = [
+    ("curve --p 3 --a 2 --additive 2,1,1 --d 5 --level 4",
+     "1be519c901965d4ecb512f3793369ec0bfd700900945a37158983804f07de253"),
+    ("curve --p 5 --a 1 --hermitian-m 3 --level 4",
+     "ddb1ba24924bdcc751e470f08fa04ee4d9692975b1d9064962ada317b6394ef8"),
+    ("curve --p 7 --a 1 --hermitian-m 4 --level 4",
+     "f5b412e0d7a5790a4e154ce254a1f2b8d75a6be6bd6efc419c20a68f22e8d2e4"),
+    ("curve --p 2 --a 2 --additive 1,1 --d 5 --level 4",
+     "0921522a75b41faad2a2139044cd303c3e0e301976ca656dbac67f9a4f54d3db"),
+    ("curve --p 2 --a 2 --additive 1,1 --d 5 --level 2",
+     "4ddb286ba7cdb488e5e4f6db4f0aff8f91c01032bd98a83d040cda49fd23e3e3"),
+]
+
 # sha256 of json.dumps(build_tower(p, a).report()): the modulus and xi of
 # every tower the suite builds, and of the three largest in the budget
 TOWER_REPORTS = {
@@ -111,6 +126,14 @@ def test_cli_output_is_byte_identical(capsys, argv, exit_code, digest):
     out = capsys.readouterr().out
     assert rc == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", EMIT_GOLDEN, ids=[g[0] for g in EMIT_GOLDEN])
+def test_emitted_points_are_byte_identical(capsys, tmp_path, argv, digest):
+    path = tmp_path / "pts.csv"
+    assert cli.main([*argv.split(), "--emit", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("p,a", list(TOWER_REPORTS), ids=str)

@@ -394,18 +394,28 @@ def test_audit_computes_each_order_sequence_once(h35, monkeypatch, check_orbit_t
 
 
 def test_audit_never_lists_the_quartic_points(h35, monkeypatch):
-    # the orbit table comes from classes of x; level-4 points and the
-    # level-4 fiber table are left to --emit and the test oracles
+    # the orbit table comes from classes of x, one fiber(x, 4) each; the
+    # level-4 points are left to --emit and the test oracles
     from maxcurves.curve_model import CurveModel
-    for name in ("enumerate_points", "_fiber_table"):
-        real = getattr(CurveModel, name)
+    real_points, real_fiber = CurveModel.enumerate_points, CurveModel.fiber
+    xs = []
 
-        def guarded(curve, level, real=real, name=name):
-            if level == 4:
-                raise AssertionError(f"{name}(4) called by the audit")
-            return real(curve, level)
-        monkeypatch.setattr(CurveModel, name, guarded)
+    def guarded(curve, level):
+        if level == 4:
+            raise AssertionError("enumerate_points(4) called by the audit")
+        return real_points(curve, level)
+
+    def recording(curve, x, level):
+        if level == 4:
+            xs.append(x)
+        return real_fiber(curve, x, level)
+
+    monkeypatch.setattr(CurveModel, "enumerate_points", guarded)
+    monkeypatch.setattr(CurveModel, "fiber", recording)
     assert audit(h35).all_identities
+    # q = 5, d = 3: g = 12, so the classes are {0} and the residues r mod
+    # 52 under r -> 25 r: 4 fixed (r = 0 mod 13) and 24 pairs
+    assert len(xs) == len(set(xs)) == 1 + 4 + 24
 
 
 def _read(reader, curve, table):
