@@ -5,7 +5,10 @@ so identical invocations produce byte-identical output. Exit codes:
 0 all requested identities hold, 1 an identity check failed,
 2 invalid input (an unwritable output path included) or an infeasible
 computation, 3 a work budget was exhausted (conjecture scans still
-print their partial report).
+print their partial report).  An internal consistency check that fails
+(say, orbit sizes that miss the point count) also exits 1, with a JSON
+error of kind "identity" on stderr in place of a traceback and nothing
+on stdout.
 """
 
 from __future__ import annotations
@@ -119,6 +122,8 @@ def _curve_from(args, tower: FieldTower):
     if picked_h == picked_a:
         raise ValueError("choose exactly one of --hermitian-m or --additive")
     if picked_h:
+        if args.d is not None:
+            raise ValueError("--d applies to --additive models only")
         return hermitian_curve(tower, args.hermitian_m)
     if args.d is None:
         raise ValueError("--additive requires --d")
@@ -200,7 +205,8 @@ def cmd_normalize(args) -> tuple[dict, int]:
     tower = build_tower(args.p, args.a, budget=args.budget)
     a = tower.parse_element(args.fa)
     b = tower.parse_element(args.fb)
-    norm = normalize_model(tower, a, b, args.m)
+    curve = define_curve(tower, (b,) + (0,) * (tower.a - 1) + (a,), args.m)
+    norm = normalize_model(curve)
     out = {
         "tower": tower.report(),
         "input": {"a": tower.digits(a), "b": tower.digits(b), "m": args.m},
@@ -229,6 +235,10 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc), "kind": "precision"},
                          sort_keys=True, indent=2), file=sys.stderr)
         return EXIT_VALIDATION
+    except RuntimeError as exc:  # after its subclasses BudgetError, PrecisionError
+        print(json.dumps({"error": str(exc), "kind": "identity"},
+                         sort_keys=True, indent=2), file=sys.stderr)
+        return EXIT_IDENTITY
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(json.dumps({"error": str(exc), "kind": "validation"},
                          sort_keys=True, indent=2), file=sys.stderr)

@@ -483,23 +483,6 @@ class FieldTower:
         self._level_cache[level] = out
         return out
 
-    def trace(self, x: int, from_level: int, to_level: int) -> int:
-        self._check_levels(x, from_level, to_level)
-        s = self.level_order(to_level)
-        acc, t = 0, x
-        for _ in range(from_level // to_level):
-            acc = self.add(acc, t)
-            t = self.pow(t, s)
-        return acc
-
-    def _check_levels(self, x: int, from_level: int, to_level: int) -> None:
-        if from_level not in LEVELS or to_level not in LEVELS:
-            raise ValueError(f"levels must be among {LEVELS}")
-        if from_level % to_level:
-            raise ValueError(f"level {to_level} is not a subfield of level {from_level}")
-        if not self.in_level(x, from_level):
-            raise ValueError(f"element {x} is not in level {from_level}")
-
     def frobenius_k(self, x: int) -> int:
         """The q^2-power map, the arithmetic Frobenius over level 2."""
         return self.pow(x, self.q2)

@@ -109,16 +109,22 @@ class NormalizationResult:
     verified: bool
 
 
-def normalize_model(tower: FieldTower, a: int, b: int, m: int) -> NormalizationResult:
-    """Normalize a maximal model a*y^q + b*y = x^m to the plain trace form."""
+def normalize_model(curve: CurveModel) -> NormalizationResult:
+    """Scale a maximal model a*y^q + b*y = x^m to Y^q + Y = X^m.
+
+    The value set F(k) must be xi^(i*m) times the level-1 subfield for
+    some power index i < (q+1)/m.  Then X = xi^(-i)*x and, with
+    u = xi^(-i*m), Y = u*b*y in closed form; `verified` checks
+    Y^q + Y = X^m in the function field.  ValueError unless the curve is
+    trace-shaped and maximal with 2 <= m dividing q + 1.
+    """
+    tower = curve.tower
     q = tower.q
+    m = curve.d
+    if not is_trace_shaped(tower, curve.f_coeffs):
+        raise ValueError("the model is not trace-shaped: F must be a*T^q + b*T")
     if m < 2 or (q + 1) % m:
         raise ValueError("m must divide q + 1 and exceed 1")
-    for c in (a, b):
-        if not 0 < c < tower.order or not tower.in_level(c, 2):
-            raise ValueError("coefficients must be nonzero elements of the level-2 field")
-    coeffs = (b,) + (0,) * (tower.a - 1) + (a,)
-    curve = define_curve(tower, coeffs, m)
     if not curve.is_maximal:
         raise ValueError("the model is not maximal; nothing to normalize")
     n = (q + 1) // m
@@ -132,16 +138,13 @@ def normalize_model(tower: FieldTower, a: int, b: int, m: int) -> NormalizationR
             break
     if index is None:
         raise ValueError("the value set of the left side is not a scaled subfield line")
-    unscale = tower.pow(tower.xi, -index * m)
-    targets = [tower.mul(unscale, curve.f_eval(alpha)) for alpha in (1, tower.xi)]
-    eps = None
-    for cand in tower.elements(2):
-        if cand and all(tower.trace(tower.mul(cand, alpha), 2, 1) == t
-                        for alpha, t in zip((1, tower.xi), targets)):
-            eps = cand
-            break
-    if eps is None:
-        raise RuntimeError("trace characterization failed; unreachable on a field")
+    u = tower.pow(tower.xi, -index * m)
+    # u*F(y) = u*a*y^q + u*b*y lies in F_q for every y in k.  Its q-th
+    # power, with y^(q^2) = y, compares coefficients to (u*b)^q = u*a, so
+    # eps = u*b gives eps^q*y^q + eps*y = u*F(y).  It is the only eps with
+    # Tr(eps*alpha) = u*F(alpha) for alpha in {1, xi}: 1, xi is an F_q-basis
+    # of k and the trace form is nondegenerate.
+    eps = tower.mul(u, curve.f_coeffs[0])
     x_scale = tower.pow(tower.xi, -index)
     ey = y_of(curve).scaled(eps)
     ex = x_of(curve).scaled(x_scale)
@@ -197,8 +200,7 @@ def dichotomy_check(curve: CurveModel) -> DichotomyVerdict:
         branch = BRANCH_FULL
         identity_ok = 2 * g == (m1 - 1) * (q - 1)
         if curve.d == m1 and is_trace_shaped(curve.tower, curve.f_coeffs):
-            norm = normalize_model(
-                curve.tower, curve.f_coeffs[-1], curve.f_coeffs[0], curve.d)
+            norm = normalize_model(curve)
     elif prod == q:
         branch = BRANCH_CONJ
         conj = 2 * g == (m1 - 1) * q

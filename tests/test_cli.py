@@ -275,12 +275,27 @@ def test_normalize_twisted_model_with_colon_tokens(capsys, t3):
     ("code", "--p", "2", "--a", "1", "--hermitian-m", "3", "--lambda", "2",
      "--emit", "/nonexistent/x.csv"),
     ("normalize", "--p", "3", "--a", "1", "--fa", "5:0", "--fb", "1", "--m", "2"),
+    ("audit", "--p", "2", "--a", "1", "--hermitian-m", "3", "--d", "7"),
 ])
 def test_validation_failures_exit_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2
     assert out == ""
     assert json.loads(err)["kind"] == "validation"
+
+
+def test_internal_check_failure_exits_1_with_json_error(capsys, monkeypatch):
+    # a level-4 count one above the truth breaks the orbit-size check
+    real = CurveModel.count
+    monkeypatch.setattr(CurveModel, "count",
+                        lambda self, level: 427 if level == 4 else real(self, level))
+    rc, out, err = run_cli(capsys, "audit", "--p", "5", "--a", "1",
+                           "--hermitian-m", "3")
+    assert rc == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["kind"] == "identity"
+    assert doc["error"].startswith("orbit sizes sum to 426, not the 427 points")
 
 
 @pytest.mark.parametrize("argv", [

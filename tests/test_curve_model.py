@@ -374,6 +374,23 @@ def test_one_elimination_per_level(monkeypatch, t5):
     assert sorted(calls) == [2, 4]
 
 
+def test_one_elimination_per_level_through_audit(monkeypatch, t5):
+    # the full audit of a first-branch curve, normalization included,
+    # eliminates F once per level
+    calls = []
+    real = curve_model._basis
+
+    def counting(tower, level):
+        calls.append(level)
+        return real(tower, level)
+
+    monkeypatch.setattr(curve_model, "_basis", counting)
+    report = verdicts.audit(hermitian_curve(t5, 3))  # fresh y^5 + y = x^3
+    assert report.dichotomy.normalization is not None
+    assert report.all_identities
+    assert sorted(calls) == [2, 4]
+
+
 # ---------------------------------------------------------------------------
 # enumeration order and membership
 # ---------------------------------------------------------------------------

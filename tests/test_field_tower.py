@@ -407,7 +407,7 @@ def test_mul_against_polynomial_oracle(t3):
 
 
 # ---------------------------------------------------------------------------
-# Frobenius, trace, norm
+# Frobenius and levels
 # ---------------------------------------------------------------------------
 
 def test_frobenius_fixes_exactly_level_2(t3):
@@ -419,30 +419,9 @@ def test_frobenius_fixes_exactly_level_2(t3):
         assert t3.frobenius_k(t3.frobenius_k(x)) == x
 
 
-def test_trace_lands_in_target_level_and_is_additive(t3):
-    for x in t3.elements(4)[:20]:
-        tr = t3.trace(x, 4, 2)
-        assert t3.in_level(tr, 2)
-    rng = random.Random(5)
-    for _ in range(30):
-        x, y = rng.randrange(81), rng.randrange(81)
-        assert t3.trace(t3.add(x, y), 4, 1) == \
-            t3.add(t3.trace(x, 4, 1), t3.trace(y, 4, 1))
-
-
-def test_trace_2_to_1_is_onto_level_1(t3):
-    image = {t3.trace(x, 2, 1) for x in t3.elements(2)}
-    assert image == set(t3.elements(1))
-
-
 def test_level_validation(t3):
     with pytest.raises(ValueError):
         t3.level_order(3)
-    with pytest.raises(ValueError):
-        t3.trace(1, 2, 4)
-    x4 = next(x for x in t3.elements(4) if not t3.in_level(x, 2))
-    with pytest.raises(ValueError):
-        t3.trace(x4, 2, 1)
 
 
 # ---------------------------------------------------------------------------

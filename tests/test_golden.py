@@ -41,6 +41,9 @@ GOLDEN = [
      "3bcbbd131dc3ba194f69715e49474cec9b9f223e42b9dafdd927fe40db22cee4"),
     ("audit --p 2 --a 3 --additive 1,0,1 --d 3", 1,
      "0989bbf6c73d0761a4eb5466124187b472aef9600d3d2a7230c1a214ebdca6bf"),
+    # a twisted trace model: normalized with power_index 1 and y_scale != 1
+    ("audit --p 5 --a 1 --additive 1:0:1:2,0:0:1:2 --d 3", 0,
+     "04938ba42620b2d06d9c3dc2770e6de8305cc85666d13d8a34f2e964e7c4091f"),
     ("conjecture --p 2 --a 2 --m1 2", 0,
      "c7d6f439f33609666f649641b7874f3eec39f15506ffe420050161a15f75497b"),
     ("conjecture --p 2 --a 2 --m1 2 --scan-budget 32", 3,

@@ -89,8 +89,13 @@ def test_bounds_hold_even_off_maximality(nonmax):
 # normalization of twisted trace models
 # ---------------------------------------------------------------------------
 
+def trace_model(tower, a, b, m):
+    """The curve a*y^q + b*y = x^m."""
+    return define_curve(tower, (b,) + (0,) * (tower.a - 1) + (a,), m)
+
+
 def test_normalize_identity_model(t3):
-    res = normalize_model(t3, 1, 1, 2)
+    res = normalize_model(trace_model(t3, 1, 1, 2))
     assert res.power_index == 0
     assert res.y_scale == 1
     assert res.x_scale == 1
@@ -109,10 +114,42 @@ def test_normalize_twisted_round_trip(t3, t5):
                 gm = tower.inv(tower.pow(gamma, m))
                 a = tower.mul(tower.pow(beta, q), gm)
                 b = tower.mul(beta, gm)
-                res = normalize_model(tower, a, b, m)
+                res = normalize_model(trace_model(tower, a, b, m))
                 assert res.verified
                 assert 0 <= res.power_index < (q + 1) // m
                 assert res.y_scale != 0 and res.x_scale != 0
+
+
+def test_normalize_y_scale_is_the_trace_solution(t3, t4, t5, t7, t8):
+    # oracle for the closed form: on every model a*y^q + b*y = x^m that
+    # normalizes, y_scale is the one nonzero eps of k with
+    # Tr(eps*alpha) = u*F(alpha) for alpha in {1, xi}, u = xi^(-i*m)
+    normalized = 0
+    for tower in (t3, t4, t5, t7, t8):
+        q = tower.q
+        units = tower.elements(2)[1:]
+
+        def tr(z):
+            return tower.add(z, tower.pow(z, q))
+
+        for m in range(2, q + 2):
+            if (q + 1) % m:
+                continue
+            for a, b in itertools.product(units, repeat=2):
+                curve = trace_model(tower, a, b, m)
+                try:
+                    res = normalize_model(curve)
+                except ValueError:
+                    continue
+                normalized += 1
+                assert res.verified
+                u = tower.pow(tower.xi, -res.power_index * m)
+                targets = [(alpha, tower.mul(u, curve.f_eval(alpha)))
+                           for alpha in (1, tower.xi)]
+                solutions = [eps for eps in units
+                             if all(tr(tower.mul(eps, alpha)) == t for alpha, t in targets)]
+                assert solutions == [res.y_scale]
+    assert normalized == 771
 
 
 def test_normalization_residual_rejects_a_wrong_scale(t5):
@@ -123,8 +160,8 @@ def test_normalization_residual_rejects_a_wrong_scale(t5):
     gm = tower.inv(tower.pow(tower.xi, 2 * m))
     a = tower.mul(tower.pow(tower.xi, q), gm)
     b = tower.mul(tower.xi, gm)
-    res = normalize_model(tower, a, b, m)
-    curve = define_curve(tower, (b,) + (0,) * (tower.a - 1) + (a,), m)
+    curve = trace_model(tower, a, b, m)
+    res = normalize_model(curve)
     ex = x_of(curve).scaled(res.x_scale)
 
     def residual(s):
@@ -140,16 +177,22 @@ def test_normalize_rejects_degenerate_left_side(t3):
     # value set cannot be a scaled subfield line
     b = t3.neg(t3.xi)
     with pytest.raises(ValueError):
-        normalize_model(t3, 1, b, 2)
+        normalize_model(trace_model(t3, 1, b, 2))
 
 
-def test_normalize_validation(t3):
+def test_normalize_validation(t3, add45):
     with pytest.raises(ValueError):
-        normalize_model(t3, 1, 1, 3)  # m does not divide q + 1
+        normalize_model(trace_model(t3, 1, 1, 3))  # m does not divide q + 1
+    with pytest.raises(ValueError, match="divide q"):
+        normalize_model(trace_model(t3, 1, 1, 5))  # nor here, past define_curve
+    with pytest.raises(ValueError, match="exceed 1"):
+        normalize_model(trace_model(t3, 1, 1, 1))
+    with pytest.raises(ValueError, match="not trace-shaped"):
+        normalize_model(add45)  # maximal, but F = T^2 + T over F_16
     with pytest.raises(ValueError):
-        normalize_model(t3, 0, 1, 2)
+        normalize_model(trace_model(t3, 0, 1, 2))
     with pytest.raises(ValueError):
-        normalize_model(t3, 1, 0, 2)
+        normalize_model(trace_model(t3, 1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
