@@ -21,6 +21,9 @@ from .field_tower import BudgetError
 from .function_field import rr_basis
 from .linalg import row_echelon
 
+# cell operations one exact distance scan may spend
+DISTANCE_BUDGET = 1 << 22
+
 
 @dataclass(frozen=True)
 class EvalCode:
@@ -68,22 +71,22 @@ class DistanceReport:
     attains_designed: bool
 
 
-def min_distance_exact(code: EvalCode, budget: int = 1 << 22) -> DistanceReport:
+def min_distance_exact(code: EvalCode) -> DistanceReport:
     """Exact minimum weight by exhausting messages up to scalar multiples.
 
     Messages run in `itertools.product` order with the leading nonzero
     symbol fixed to 1. Each row is scaled by every level-2 symbol once,
     up front; a depth-first walk then derives each word from its parent
-    by one `add` per cell and no `mul`. The budget still counts
-    ``q2**k * n`` cells.
+    by one `add` per cell and no `mul`. `DISTANCE_BUDGET` still bounds
+    the ``q2**k * n`` cells.
     """
     t = code.curve.tower
     k = code.dimension
     n = code.length
     cost = t.q2 ** k * n
-    if cost > budget:
-        raise BudgetError(
-            f"distance scan needs {cost} cell operations, budget is {budget}")
+    if cost > DISTANCE_BUDGET:
+        raise BudgetError(f"distance scan needs {cost} cell operations, "
+                          f"budget is {DISTANCE_BUDGET}")
     # level-2 elements start with 0, so scaled[i][0] is the zero word
     scaled = [[[t.mul(c, v) for v in row] for c in t.elements(2)]
               for row in code.matrix]

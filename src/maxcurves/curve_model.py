@@ -85,10 +85,13 @@ def _echelon(tower: FieldTower, pairs, pivots: dict[int, tuple[int, int]]) -> li
     pivots maps a digit position to a pair whose value has its top nonzero
     digit there, equal to 1.  Each row operation acts on both halves, so a
     pair (F(b), b) stays one; a pair whose value reduces to 0 returns its
-    second half, and any other becomes a new pivot.
+    second half, and any other becomes a new pivot.  A step adds the pivot
+    scaled by -lead, whose code is the digit p - lead; a new pivot is
+    scaled by the `inv` of its lead.
     """
-    powers = [tower.p ** i for i in range(tower.degree)]
-    sub, mul = tower.sub, tower.mul
+    p = tower.p
+    powers = [p ** i for i in range(tower.degree)]
+    add, mul = tower.add, tower.mul
     kernel = []
     for v, b in pairs:
         while v:
@@ -97,13 +100,15 @@ def _echelon(tower: FieldTower, pairs, pivots: dict[int, tuple[int, int]]) -> li
             pivot = pivots.get(top)
             if pivot is None:
                 if lead != 1:
-                    v, b = tower.div(v, lead), tower.div(b, lead)
+                    inv = tower.inv(lead)
+                    v, b = mul(inv, v), mul(inv, b)
                 pivots[top] = (v, b)
                 break
             pv, pb = pivot
-            if lead != 1:  # p = 2: lead is 1
-                pv, pb = mul(lead, pv), mul(lead, pb)
-            v, b = sub(v, pv), sub(b, pb)
+            f = p - lead
+            if f != 1:  # p = 2: f is 1
+                pv, pb = mul(f, pv), mul(f, pb)
+            v, b = add(v, pv), add(b, pb)
         else:
             kernel.append(b)
     return kernel
@@ -167,7 +172,10 @@ class CurveModel:
         t = self.tower
         pivots, kernel = self._eliminate(level)
         found = _echelon(t, [(t.pow(x, self.d), 0)], dict(pivots))
-        return tuple(t.sub(kap, found[0]) for kap in kernel) if found else ()
+        if not found:
+            return ()
+        y0 = t.neg(found[0])
+        return tuple(t.add(kap, y0) for kap in kernel)
 
     def enumerate_points(self, level: int) -> tuple[Point, ...]:
         """All points over the given level, x then y in lex order, infinity last."""

@@ -9,6 +9,14 @@ the distinguished generator of F_{q^2}* are both chosen as the
 lexicographically first candidates, so two towers built from the same
 (p, a) are identical object for object.
 
+Construction takes one path for every p: the modulus search, the
+generator search and the products that seed the tables all use the
+dense `_poly_*` arithmetic over F_p.  `_mul_raw` and `_pow_raw`, the
+products straight from the residue polynomials, build the tables and
+are the oracles the tests check them against.
+
+At run time the arithmetic is `add`, `neg`, `mul`, `inv` and `pow`;
+a difference is an `add` of a `neg`, a quotient a `mul` by an `inv`.
 Multiplication goes through discrete-log tables of a generator g of
 the ambient unit group.  The exp table is the orbit of 1 under the
 F_p-linear map x -> g*x, tabulated once per half of the digit vector
@@ -16,14 +24,14 @@ from the images g*T^i (one `_mul_raw` each): g*x = lo[x % q^2] +
 hi[x // q^2].  For p = 2 the halves combine by XOR.  For odd p their
 entries hold digits in radix 2p - 1, so the sum carries nothing, and
 a table of (2p - 1)^(2a) entries maps each half of the sum back to
-digits mod p.  `_mul_raw` and `_pow_raw` remain as test oracles.
+digits mod p.
 
-For p = 2 addition is XOR of the digit vectors.  For odd p it uses
-Zech logarithms: zech[k] = log(1 + g^k), so g^i + g^j =
-g^(i + zech[j - i]), a few list lookups in place of a divmod per
-base-p digit.  The entry at k = (order - 1) / 2, where g^k = -1 and
-1 + g^k = 0, is None.  The digit loops `_add_raw` and `_neg_raw`
-remain as test oracles.
+For p = 2 addition is XOR of the digit vectors and negation is the
+identity.  For odd p addition uses Zech logarithms: zech[k] =
+log(1 + g^k), so g^i + g^j = g^(i + zech[j - i]), a few list lookups
+in place of a divmod per base-p digit.  The entry at
+k = (order - 1) / 2, where g^k = -1 and 1 + g^k = 0, is None.  The
+digit loops `_add_raw` and `_neg_raw` are the oracles for both.
 
 The one lex order on elements compares residue digits constant term
 first; `lex_rank` maps an element to its int key in that order, the
@@ -139,8 +147,9 @@ def _poly_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
     while e:
         if e & 1:
             r = _poly_mod(_poly_mul(r, b, p), f, p)
-        b = _poly_mod(_poly_mul(b, b, p), f, p)
         e >>= 1
+        if e:
+            b = _poly_mod(_poly_mul(b, b, p), f, p)
     return r
 
 
@@ -153,43 +162,6 @@ def _is_irreducible_generic(f: list[int], p: int) -> bool:
         r = _poly_powmod(r, p, f, p)
         g = _poly_gcd([(c - t) % p for c, t in itertools.zip_longest(r, [0, 1], fillvalue=0)], f, p)
         if len(g) - 1 > 0:
-            return False
-    return True
-
-
-# bitmask fast path for p = 2: bit i of the mask is the coefficient of T^i
-
-def _gf2_mod(a: int, f: int) -> int:
-    df = f.bit_length() - 1
-    while a.bit_length() - 1 >= df and a:
-        a ^= f << (a.bit_length() - 1 - df)
-    return a
-
-
-def _gf2_mulmod(x: int, y: int, f: int, n: int) -> int:
-    r = 0
-    top = 1 << n
-    while y:
-        if y & 1:
-            r ^= x
-        y >>= 1
-        x <<= 1
-        if x & top:
-            x ^= f
-    return r
-
-
-def _gf2_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _gf2_mod(a, b)
-    return a
-
-
-def _is_irreducible_gf2(f: int, n: int) -> bool:
-    r = 2  # the polynomial T
-    for _ in range(n // 2):
-        r = _gf2_mulmod(r, r, f, n)
-        if _gf2_gcd(r ^ 2, f) != 1:
             return False
     return True
 
@@ -228,9 +200,6 @@ class FieldTower:
             raise BudgetError(
                 f"ambient order p^(4a) = {self.order} exceeds budget {budget}")
         self.modulus = self._find_modulus()
-        self._fmask = None
-        if p == 2:
-            self._fmask = sum(c << i for i, c in enumerate(self.modulus))
         self._build_tables()
         # rev[x] for x < q^2: the 2a residue digits of x in reverse order
         half_top = self.q2 // p
@@ -249,32 +218,19 @@ class FieldTower:
         p, n = self.p, self.degree
         for tail in itertools.product(range(1, p), *[range(p)] * (n - 1)):
             f = list(tail) + [1]
-            if p == 2:
-                mask = sum(c << i for i, c in enumerate(f))
-                ok = _is_irreducible_gf2(mask, n)
-            else:
-                ok = _is_irreducible_generic(f, p)
-            if ok:
+            if _is_irreducible_generic(f, p):
                 return tuple(f)
         raise RuntimeError("no irreducible modulus found")  # unreachable
 
     def _mul_raw(self, x: int, y: int) -> int:
         """Product without tables, straight from the residue polynomials."""
-        if self.p == 2:
-            return _gf2_mulmod(x, y, self._fmask, self.degree)
         ax, ay = self.coeffs(x), self.coeffs(y)
         prod = _poly_mul(list(ax), list(ay), self.p)
         return self.element(_poly_mod(prod, list(self.modulus), self.p))
 
     def _pow_raw(self, x: int, e: int) -> int:
-        """x^e for e >= 0 by square-and-multiply over `_mul_raw`."""
-        r, b = 1, x
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, b)
-            b = self._mul_raw(b, b)
-            e >>= 1
-        return r
+        """x^e for e >= 0 without tables, straight from the residue polynomials."""
+        return self.element(_poly_powmod(list(self.coeffs(x)), e, list(self.modulus), self.p))
 
     def _build_tables(self) -> None:
         n1 = self.order - 1
@@ -397,23 +353,8 @@ class FieldTower:
         exp = self._exp
         return exp[self._log[x] - len(exp) // 2]
 
-    def sub(self, x: int, y: int) -> int:
-        if self.p == 2:
-            return x ^ y
-        if y == 0:
-            return x
-        if x == 0:
-            return self.neg(y)
-        zech, log = self._zech, self._log
-        lx = log[x]
-        n1 = len(zech)
-        z = zech[(log[y] + n1 // 2 - lx) % n1]
-        if z is None:
-            return 0
-        return self._exp[lx + z - n1]
-
     def _add_raw(self, x: int, y: int) -> int:
-        """Digit-by-digit sum for odd p, the oracle for the Zech tables."""
+        """Digit-by-digit sum, the oracle for `add` (Zech tables or XOR)."""
         p = self.p
         code, mult = 0, 1
         for _ in range(self.degree):
@@ -424,7 +365,7 @@ class FieldTower:
         return code
 
     def _neg_raw(self, x: int) -> int:
-        """Digit-by-digit negation for odd p, the oracle for the Zech tables."""
+        """Digit-by-digit negation, the oracle for `neg`."""
         p = self.p
         code, mult = 0, 1
         for _ in range(self.degree):
@@ -442,9 +383,6 @@ class FieldTower:
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
         return self._exp[(-self._log[x]) % (self.order - 1)]
-
-    def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
 
     def pow(self, x: int, e: int) -> int:
         if x == 0:

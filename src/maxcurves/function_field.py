@@ -216,17 +216,18 @@ def _y_series(curve: CurveModel, P: Point, n: int) -> list[int]:
     t = curve.tower
     p, d, a = t.p, curve.d, curve.f_coeffs
     a0_inv = t.inv(a[0])
+    minus = [t.neg(ai) for ai in a[1:]]
     u = [P.y] + [0] * (n - 1)
     for k in range(1, n):
         c = t.mul(comb(d, k) % p, t.pow(P.x, d - k)) if k <= d else 0
         j, pi = k, 1
-        for ai in a[1:]:
+        for mi in minus:
             if j % p:
                 break
             j //= p
             pi *= p
-            if ai:
-                c = t.sub(c, t.mul(ai, t.pow(u[j], pi)))
+            if mi:
+                c = t.add(c, t.mul(mi, t.pow(u[j], pi)))
         u[k] = t.mul(a0_inv, c)
     return u
 

@@ -11,6 +11,7 @@ def row_echelon(tower: FieldTower, rows) -> tuple[list[list[int]], list[int]]:
     if not mat:
         return [], []
     ncols = len(mat[0])
+    add, neg, mul = tower.add, tower.neg, tower.mul
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -21,13 +22,13 @@ def row_echelon(tower: FieldTower, rows) -> tuple[list[list[int]], list[int]]:
         piv = mat[r]
         inv = tower.inv(piv[c])
         for k in range(c, ncols):
-            piv[k] = tower.mul(inv, piv[k])
+            piv[k] = mul(inv, piv[k])
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
-                f = mat[i][c]
+                f = neg(mat[i][c])
                 row = mat[i]
                 for k in range(c, ncols):
-                    row[k] = tower.sub(row[k], tower.mul(f, piv[k]))
+                    row[k] = add(row[k], mul(f, piv[k]))
         pivots.append(c)
         r += 1
         if r == len(mat):

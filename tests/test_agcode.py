@@ -17,6 +17,7 @@ from maxcurves import (
     min_distance_exact,
     rr_basis,
 )
+from maxcurves import agcode
 from maxcurves.function_field import evaluate
 
 
@@ -146,20 +147,23 @@ def test_distance_scan_multiplies_only_in_its_table(h23, monkeypatch):
     assert calls["add"] <= rep.scanned * code.length
 
 
-def test_distance_budget(h35):
+def test_distance_budget(h35, monkeypatch):
     code = build_code(h35, 10)
     with pytest.raises(BudgetError):
-        min_distance_exact(code)  # 25^7 messages dwarf the default budget
+        min_distance_exact(code)  # 25^7 messages dwarf the budget
+    monkeypatch.setattr(agcode, "DISTANCE_BUDGET", 10)
     with pytest.raises(BudgetError):
-        min_distance_exact(build_code(h35, 3), budget=10)
+        min_distance_exact(build_code(h35, 3))
 
 
-def test_distance_budget_is_exact(h23):
+def test_distance_budget_is_exact(h23, monkeypatch):
     code = build_code(h23, 3)
     cost = h23.tower.q2 ** code.dimension * code.length
-    assert min_distance_exact(code, budget=cost).distance == code.d_designed
+    monkeypatch.setattr(agcode, "DISTANCE_BUDGET", cost)
+    assert min_distance_exact(code).distance == code.d_designed
+    monkeypatch.setattr(agcode, "DISTANCE_BUDGET", cost - 1)
     with pytest.raises(BudgetError):
-        min_distance_exact(code, budget=cost - 1)
+        min_distance_exact(code)
 
 
 # ---------------------------------------------------------------------------

@@ -177,25 +177,37 @@ def test_count_builds_no_points_and_matches_enumeration(request, tower, d):
 
 
 @pytest.mark.parametrize("level,adds", [(2, 10), (4, 130)])
-def test_image_and_kernel_walk_the_image_not_the_level(level, adds):
+def test_image_and_kernel_walk_the_image_not_the_level(level, adds, monkeypatch):
     # y^5 + y = x^3 over q = 5: |F(level)| = 5 or 125 and |ker F| = 5, so
     # |F(level)| + |ker F| adds where a walk of the level takes 24 or 624;
-    # the images F(b) of the basis are read from a table, not counted
+    # the images F(b) of the basis are read from a table, not counted; the
+    # elimination of the n basis pairs (n steps each at most, two adds a
+    # step) is counted apart from the walk
     t = build_tower(5, 1)
     curve = hermitian_curve(t, 3)
     curve.f_eval = {y: curve.f_eval(y) for y in t.elements(level)}.__getitem__
     calls = []
-    real_add = t.add
+    eliminated = []
+    real_add, real_echelon = t.add, curve_model._echelon
 
     def counting(x, y):
         calls.append(1)
         return real_add(x, y)
 
+    def echelon(*args):
+        before = len(calls)
+        out = real_echelon(*args)
+        eliminated.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(curve_model, "_echelon", echelon)
     t.add = counting
     image, kernel = curve.image(level), curve.kernel(level)
     del t.add
+    n = level * t.a
+    assert sum(eliminated) <= 2 * n * n
     assert len(image) + len(kernel) == adds
-    assert len(calls) <= adds
+    assert len(calls) - sum(eliminated) <= adds
 
 
 def direct_count(curve, level):
