@@ -8,7 +8,8 @@ computation, 3 a work budget was exhausted (conjecture scans still
 print their partial report).  An internal consistency check that fails
 (say, orbit sizes that miss the point count) also exits 1, with a JSON
 error of kind "identity" on stderr in place of a traceback and nothing
-on stdout.
+on stdout.  `main` builds the tower once, passes it to the
+subcommand's handler and adds its report under "tower".
 """
 
 from __future__ import annotations
@@ -135,8 +136,7 @@ def _curve_from(args, tower: FieldTower):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_curve(args) -> tuple[dict, int]:
-    tower = build_tower(args.p, args.a, budget=args.budget)
+def cmd_curve(args, tower: FieldTower) -> tuple[dict, int]:
     curve = _curve_from(args, tower)
     hw = curve.maximality_report()
     counts: dict = {
@@ -152,7 +152,6 @@ def cmd_curve(args) -> tuple[dict, int]:
     if args.emit:
         points_to_csv(curve, curve.enumerate_points(args.level), args.emit)
     out = {
-        "tower": tower.report(),
         "curve": curve.report(),
         "counts": counts,
         "bounds": to_json(bounds_report(curve), tower),
@@ -161,20 +160,17 @@ def cmd_curve(args) -> tuple[dict, int]:
     return out, EXIT_OK if ok else EXIT_IDENTITY
 
 
-def cmd_audit(args) -> tuple[dict, int]:
-    tower = build_tower(args.p, args.a, budget=args.budget)
+def cmd_audit(args, tower: FieldTower) -> tuple[dict, int]:
     curve = _curve_from(args, tower)
     report = audit(curve)
-    out = {"tower": tower.report(), "curve": curve.report(), **to_json(report, tower)}
+    out = {"curve": curve.report(), **to_json(report, tower)}
     return out, EXIT_OK if report.all_identities else EXIT_IDENTITY
 
 
-def cmd_code(args) -> tuple[dict, int]:
-    tower = build_tower(args.p, args.a, budget=args.budget)
+def cmd_code(args, tower: FieldTower) -> tuple[dict, int]:
     curve = _curve_from(args, tower)
     code = build_code(curve, args.lam)
     out = {
-        "tower": tower.report(),
         "curve": curve.report(),
         "code": {
             "n": code.length,
@@ -194,21 +190,18 @@ def cmd_code(args) -> tuple[dict, int]:
     return out, EXIT_OK if code.rank_verified else EXIT_IDENTITY
 
 
-def cmd_conjecture(args) -> tuple[dict, int]:
-    tower = build_tower(args.p, args.a, budget=args.budget)
+def cmd_conjecture(args, tower: FieldTower) -> tuple[dict, int]:
     rep = conjecture_explore(tower, args.m1, d=args.d, budget=args.scan_budget)
-    out = {"tower": tower.report(), "scan": to_json(rep, tower)}
+    out = {"scan": to_json(rep, tower)}
     return out, EXIT_OK if rep.complete else EXIT_BUDGET
 
 
-def cmd_normalize(args) -> tuple[dict, int]:
-    tower = build_tower(args.p, args.a, budget=args.budget)
+def cmd_normalize(args, tower: FieldTower) -> tuple[dict, int]:
     a = tower.parse_element(args.fa)
     b = tower.parse_element(args.fb)
     curve = define_curve(tower, (b,) + (0,) * (tower.a - 1) + (a,), args.m)
     norm = normalize_model(curve)
     out = {
-        "tower": tower.report(),
         "input": {"a": tower.digits(a), "b": tower.digits(b), "m": args.m},
         "normalization": to_json(norm, tower),
     }
@@ -226,7 +219,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     try:
-        out, exit_code = args.func(args)
+        tower = build_tower(args.p, args.a, budget=args.budget)
+        out, exit_code = args.func(args, tower)
+        out["tower"] = tower.report()
     except BudgetError as exc:
         print(json.dumps({"error": str(exc), "kind": "budget"},
                          sort_keys=True, indent=2), file=sys.stderr)

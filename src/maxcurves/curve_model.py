@@ -288,11 +288,8 @@ def define_curve(tower: FieldTower, f_coeffs, d: int) -> CurveModel:
             raise ValueError(f"coefficient {c} is not in the base field k")
     if d < 1:
         raise ValueError("d must be >= 1")
-    if gcd(d, tower.p) != 1:
+    if gcd(d, tower.p) != 1:  # so d is prime to deg F, a power of p
         raise ValueError(f"d = {d} is divisible by the characteristic")
-    deg_f = tower.p ** (len(coeffs) - 1)
-    if gcd(d, deg_f) != 1:
-        raise ValueError(f"d = {d} and deg F = {deg_f} are not coprime")
     family = "additive-general"
     if (is_trace_shaped(tower, coeffs) and coeffs[0] == coeffs[-1] == 1
             and (tower.q + 1) % d == 0):

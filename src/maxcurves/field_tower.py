@@ -66,19 +66,6 @@ class PrecisionError(RuntimeError):
     """A series computation could not be resolved within the precision cap."""
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     """Distinct prime divisors of n, ascending."""
     out = []
@@ -135,9 +122,6 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _trim(a[:]), _trim(b[:])
     while b:
         a, b = b, _poly_mod(a, b, p)
-    if a:
-        linv = pow(a[-1], -1, p)
-        a = [(c * linv) % p for c in a]
     return a
 
 
@@ -185,7 +169,7 @@ class FieldTower:
     """
 
     def __init__(self, p: int, a: int, *, budget: int = DEFAULT_AMBIENT_BUDGET):
-        if not is_prime(p):
+        if prime_factors(p) != [p]:
             raise ValueError(f"p = {p} is not prime")
         if a < 1:
             raise ValueError("extension exponent a must be >= 1")
@@ -457,8 +441,6 @@ def to_json(obj, tower: FieldTower):
             return str(obj)
         if isinstance(obj, (list, tuple)):
             return [enc(v) for v in obj]
-        if isinstance(obj, dict):
-            return {k: enc(v) for k, v in obj.items()}
         return obj
 
     def elements(v):

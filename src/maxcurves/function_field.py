@@ -6,6 +6,9 @@ and since x and y have poles only at P_infinity these spaces are
 spanned by polynomials in x and y, so no quotients are kept.
 Elements are in the reduced form sum c_ij x^i y^j with j < deg F,
 using the relation a_e y^(deg F) = x^d - sum_{i<e} a_i y^(p^i).
+`_reduce` is the one place where terms are summed: a sum or a product
+hands it the pairs of its terms, and it adds equal monomials and
+rewrites those with j >= deg F by the relation.
 Since gcd(d, deg F) = 1 the monomial weights i*deg F + j*d are distinct,
 so the pole order at the place at infinity is read off the support.
 Local expansions at affine points use the uniformizer t = x - x(P).
@@ -22,6 +25,7 @@ the expansions; the package does not export them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -38,60 +42,32 @@ def max_precision(curve: CurveModel) -> int:
 # reduced polynomial dictionaries {(i, j): code}
 # ---------------------------------------------------------------------------
 
-def _reduce(curve: CurveModel, terms) -> dict[tuple[int, int], int]:
+def _reduce(curve: CurveModel, pairs) -> dict[tuple[int, int], int]:
+    """Reduced form of the sum of c * x^i * y^j over ((i, j), c) pairs.
+
+    Each round sums the pairs into the result, then rewrites the terms
+    with j >= deg F into the pairs of the next round; j falls each time.
+    """
     t = curve.tower
     r = curve.deg_f
-    ae_inv = t.inv(curve.f_coeffs[-1])
-    repl = [((curve.d, 0), ae_inv)]
-    for i in range(len(curve.f_coeffs) - 1):
-        ai = curve.f_coeffs[i]
-        if ai:
-            repl.append(((0, t.p ** i), t.neg(t.mul(ae_inv, ai))))
     out: dict[tuple[int, int], int] = {}
-    work = [(ij, c) for ij, c in terms.items() if c]
-    while work:
-        (i, j), c = work.pop()
-        if j < r:
-            new = t.add(out.get((i, j), 0), c)
+    while True:
+        for ij, c in pairs:
+            new = t.add(out.get(ij, 0), c)
             if new:
-                out[(i, j)] = new
+                out[ij] = new
             else:
-                out.pop((i, j), None)
-        else:
-            for (di, dj), rc in repl:
-                work.append(((i + di, j - r + dj), t.mul(c, rc)))
-    return out
-
-
-def _dict_add(t, A, B):
-    out = dict(A)
-    for ij, c in B.items():
-        new = t.add(out.get(ij, 0), c)
-        if new:
-            out[ij] = new
-        else:
-            out.pop(ij, None)
-    return out
-
-
-def _dict_scale(t, A, c):
-    if c == 0:
-        return {}
-    return {ij: t.mul(v, c) for ij, v in A.items()}
-
-
-def _dict_mul(curve, A, B):
-    t = curve.tower
-    conv: dict[tuple[int, int], int] = {}
-    for (i1, j1), c1 in A.items():
-        for (i2, j2), c2 in B.items():
-            key = (i1 + i2, j1 + j2)
-            new = t.add(conv.get(key, 0), t.mul(c1, c2))
-            if new:
-                conv[key] = new
-            else:
-                conv.pop(key, None)
-    return _reduce(curve, conv)
+                out.pop(ij, None)
+        high = [(ij, c) for ij, c in out.items() if ij[1] >= r]
+        if not high:
+            return out
+        for ij, _ in high:
+            del out[ij]
+        ae_inv = t.inv(curve.f_coeffs[-1])
+        repl = [((curve.d, 0), ae_inv)] + [((0, t.p ** i), t.neg(t.mul(ae_inv, ai)))
+                                          for i, ai in enumerate(curve.f_coeffs[:-1]) if ai]
+        pairs = [((i + di, j - r + dj), t.mul(c, rc))
+                 for (i, j), c in high for (di, dj), rc in repl]
 
 
 def _top_weight(curve: CurveModel, terms) -> int:
@@ -126,7 +102,8 @@ class FuncElement:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "FuncElement") -> "FuncElement":
-        return FuncElement(self.curve, _dict_add(self.curve.tower, self.num, other.num))
+        return FuncElement(self.curve, _reduce(
+            self.curve, itertools.chain(self.num.items(), other.num.items())))
 
     def __neg__(self) -> "FuncElement":
         t = self.curve.tower
@@ -136,7 +113,10 @@ class FuncElement:
         return self + (-other)
 
     def __mul__(self, other: "FuncElement") -> "FuncElement":
-        return FuncElement(self.curve, _dict_mul(self.curve, self.num, other.num))
+        mul = self.curve.tower.mul
+        return FuncElement(self.curve, _reduce(self.curve, (
+            ((i1 + i2, j1 + j2), mul(c1, c2))
+            for (i1, j1), c1 in self.num.items() for (i2, j2), c2 in other.num.items())))
 
     def __pow__(self, e: int) -> "FuncElement":
         if e < 0:
@@ -153,7 +133,8 @@ class FuncElement:
         return r
 
     def scaled(self, c: int) -> "FuncElement":
-        return FuncElement(self.curve, _dict_scale(self.curve.tower, self.num, c))
+        mul = self.curve.tower.mul
+        return FuncElement(self.curve, {ij: mul(v, c) for ij, v in self.num.items()} if c else {})
 
     def __repr__(self) -> str:
         return f"FuncElement({sorted(self.num.items())})"
@@ -164,7 +145,7 @@ def x_of(curve: CurveModel) -> FuncElement:
 
 
 def y_of(curve: CurveModel) -> FuncElement:
-    return FuncElement(curve, {(0, 1): 1} if curve.deg_f > 1 else _reduce(curve, {(0, 1): 1}))
+    return FuncElement(curve, _reduce(curve, [((0, 1), 1)]))
 
 
 def evaluate(f: FuncElement, P: Point) -> int:

@@ -250,10 +250,7 @@ def ramification_audit(curve: CurveModel, orders: OrbitTable) -> RamificationRep
     m = curve.d
     g = curve.genus
 
-    w1_num = n * ((n - 1) * m - n - 1)
-    if w1_num % 2:
-        raise RuntimeError("ramified weight is not an integer")
-    w1 = w1_num // 2 + 2
+    w1 = n * ((n - 1) * m - n - 1) // 2 + 2  # the product is even for every n, m
     w2 = 1
 
     eps = info.epsilon_orders

@@ -95,6 +95,12 @@ def add45(t4):
 
 
 @pytest.fixture(scope="session")
+def add43(t4):
+    """y^4 + y^2 + y = x^3 over F_16; the relation rewrites y^4 by two terms."""
+    return define_curve(t4, (1, 1, 1), 3)
+
+
+@pytest.fixture(scope="session")
 def nonmax(t3):
     """y^3 + y = x^7 over F_9: valid model, far from maximal (10 points)."""
     return define_curve(t3, (1, 1), 7)

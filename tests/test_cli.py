@@ -16,7 +16,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
-from maxcurves import CurveModel, Point, cli
+from maxcurves import CurveModel, Point, PrecisionError, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -296,6 +296,29 @@ def test_internal_check_failure_exits_1_with_json_error(capsys, monkeypatch):
     doc = json.loads(err)
     assert doc["kind"] == "identity"
     assert doc["error"].startswith("orbit sizes sum to 426, not the 427 points")
+
+
+def test_tower_over_budget_exits_3(capsys):
+    # 5^8 = 390625 ambient elements: main stops at the tower build
+    rc, out, err = run_cli(capsys, "curve", "--p", "5", "--a", "2",
+                           "--hermitian-m", "13", "--budget", "1000")
+    assert rc == 3
+    assert out == ""
+    assert json.loads(err)["kind"] == "budget"
+
+
+def test_precision_error_exits_2_with_json_error(capsys, monkeypatch):
+    import maxcurves.verdicts as verdicts
+
+    def unresolved(curve):
+        raise PrecisionError("valuation unresolved at precision cap 1")
+    monkeypatch.setattr(verdicts, "order_sequences", unresolved)
+    rc, out, err = run_cli(capsys, "audit", "--p", "3", "--a", "1",
+                           "--hermitian-m", "2")
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "valuation unresolved at precision cap 1",
+                               "kind": "precision"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -438,6 +438,9 @@ def test_build_tower_rejects_bad_parameters():
         build_tower(4, 1)
     with pytest.raises(ValueError):
         build_tower(1, 1)
+    for odd_composite in (9, 15):
+        with pytest.raises(ValueError, match="is not prime"):
+            build_tower(odd_composite, 1)
     with pytest.raises(ValueError):
         build_tower(2, 0)
 

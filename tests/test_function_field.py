@@ -55,8 +55,8 @@ def defining_residual(curve):
 # reduction and ring structure
 # ---------------------------------------------------------------------------
 
-def test_defining_relation_reduces_to_zero(h32, h23, h25, add45):
-    for curve in (h32, h23, h25, add45):
+def test_defining_relation_reduces_to_zero(h32, h23, h25, add45, add43):
+    for curve in (h32, h23, h25, add45, add43):
         assert defining_residual(curve).is_zero
 
 
@@ -86,15 +86,16 @@ def small_terms(max_coeff):
 
 
 @given(small_terms(80), small_terms(80), small_terms(80))
-def test_ring_axioms(h23, a, b, c):
-    f = poly(h23, a)
-    g = poly(h23, b)
-    h = poly(h23, c)
-    assert f + g == g + f
-    assert f * g == g * f
-    assert (f + g) * h == f * h + g * h
-    assert (f * g) * h == f * (g * h)
-    assert f - f == FuncElement(h23, {})
+def test_ring_axioms(h23, add43, a, b, c):
+    for curve in (h23, add43):
+        f = poly(curve, a)
+        g = poly(curve, b)
+        h = poly(curve, c)
+        assert f + g == g + f
+        assert f * g == g * f
+        assert (f + g) * h == f * h + g * h
+        assert (f * g) * h == f * (g * h)
+        assert f - f == FuncElement(curve, {})
 
 
 def test_power_matches_repeated_product(h23):

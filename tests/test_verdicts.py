@@ -343,11 +343,15 @@ def test_embedding_rationality(h32, h23, h43, h35):
         assert rep.rational_images == rep.rational_points
 
 
-def test_embedding_preconditions(add45, nonmax):
-    with pytest.raises(ValueError):
-        embedding_check(add45, order_sequences(add45))  # n * d = 10 != q + 1
-    with pytest.raises(ValueError):
-        embedding_check(nonmax, order_sequences(nonmax))  # not the trace family
+def test_embedding_preconditions(t3, add45, nonmax):
+    cases = [
+        (add45, "supports the trace family only"),  # F = T^2 + T over F_16
+        (nonmax, "supports the trace family only"),  # d = 7 does not divide q + 1
+        (hermitian_curve(t3, 1), r"needs n \* d = q \+ 1"),  # n * d = 3 != 4
+    ]
+    for curve, message in cases:
+        with pytest.raises(ValueError, match=message):
+            embedding_check(curve, order_sequences(curve))
 
 
 # ---------------------------------------------------------------------------
