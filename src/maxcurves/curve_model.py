@@ -204,12 +204,12 @@ class CurveModel:
         size = (Q - 1) // g + 1  # the d-th powers and 0
         j = round(log(size, t.p))  # exact whenever size is a power of p
         if t.p ** j == size:
-            eta = t._exp[step % (t.order - 1)]
+            eta = t.exp(step)
             # the basis vectors of L that reduce to 0 span F(level) & L
             shared = _echelon(t, [(t.pow(eta, i), 0) for i in range(j)], dict(pivots))
             hits = t.p ** len(shared) - 1
         else:
-            hits = sum(1 for z in self.image(level) if z and t._log[z] % step == 0)
+            hits = sum(1 for z in self.image(level) if z and t.log(z) % step == 0)
         return 1 + len(kernel) * (1 + g * hits)
 
     # -- maximality --------------------------------------------------------------

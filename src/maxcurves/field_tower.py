@@ -18,20 +18,23 @@ are the oracles the tests check them against.
 At run time the arithmetic is `add`, `neg`, `mul`, `inv` and `pow`;
 a difference is an `add` of a `neg`, a quotient a `mul` by an `inv`.
 Multiplication goes through discrete-log tables of a generator g of
-the ambient unit group.  The exp table is the orbit of 1 under the
-F_p-linear map x -> g*x, tabulated once per half of the digit vector
-from the images g*T^i (one `_mul_raw` each): g*x = lo[x % q^2] +
-hi[x // q^2].  For p = 2 the halves combine by XOR.  For odd p their
-entries hold digits in radix 2p - 1, so the sum carries nothing, and
-a table of (2p - 1)^(2a) entries maps each half of the sum back to
-digits mod p.
+the ambient unit group.  An F_p-linear map x -> c*x is tabulated once
+per half of the digit vector from the images c*T^i (one `_mul_raw`
+each): c*x = lo[x % q^2] + hi[x // q^2].  For p = 2 the halves combine
+by XOR.  For odd p their entries hold digits in radix 2p - 1, so the
+sum carries nothing, and `red`, a table of (2p - 1)^(2a) entries, maps
+each half of the sum back to digits mod p.  The exp table is the orbit
+of 1 under g, built in blocks of q^2 entries: the first block one step
+of c = g at a time, each later block in one pass, the block before it
+times c = g^(q^2).  The log table is the inverse permutation.
 
 For p = 2 addition is XOR of the digit vectors and negation is the
-identity.  For odd p addition uses Zech logarithms: zech[k] =
-log(1 + g^k), so g^i + g^j = g^(i + zech[j - i]), a few list lookups
-in place of a divmod per base-p digit.  The entry at
-k = (order - 1) / 2, where g^k = -1 and 1 + g^k = 0, is None.  The
-digit loops `_add_raw` and `_neg_raw` are the oracles for both.
+identity.  For odd p addition uses the same radix-(2p - 1) form: `rad`
+writes a half code (q^2 entries) in radix 2p - 1, so a half of x + y
+is red[rad[x half] + rad[y half]], and negation is one table of q^2
+entries applied to each half.  Every table but exp and log has at most
+(2p - 1)^(2a) entries and stays in cache.  The digit loops `_add_raw`
+and `_neg_raw` are the oracles for both.
 
 The one lex order on elements compares residue digits constant term
 first; `lex_rank` maps an element to its int key in that order, the
@@ -160,6 +163,15 @@ def _linear_table(vectors, p: int, span: int, radix: int) -> list[int]:
     return [sum(v * radix ** k for k, v in enumerate(row)) for row in rows]
 
 
+def _digit_table(images, radix: int, n: int) -> list[int]:
+    """Entry sum(c_i * len(images)^i) over n digits is sum(images[c_i] * radix^i):
+    the recurrence t[s] = t[s // len(images)] * radix + images[s % len(images)]."""
+    table = [0]
+    for _ in range(n):
+        table = [v * radix + d for v in table for d in images]
+    return table
+
+
 class FieldTower:
     """The tower F_p < F_q < F_{q^2} < F_{q^4} inside F_{p^(4a)}.
 
@@ -226,40 +238,48 @@ class FieldTower:
                 break
         if gen is None:
             raise RuntimeError("no generator of the ambient unit group")
-        # g*x = lo[x % h] + hi[x // h]; for odd p the entries hold digits in
-        # radix 2p - 1 so the sum carries nothing, and red reduces a half mod p
         p, h, half = self.p, self.q2, 2 * self.a
-        radix = 2 if p == 2 else 2 * p - 1
-        images = [self.coeffs(self._mul_raw(p ** i, gen)) for i in range(self.degree)]
-        lo = _linear_table(images[:half], p, p, radix)
-        hi = _linear_table(images[half:], p, p, radix)
-        exp = [0] * n1
-        log = [0] * self.order
-        acc = 1
+        rad = red = neg = None  # odd p only
         if p == 2:
-            for i in range(n1):
-                exp[i] = acc
-                log[acc] = i
-                acc = lo[acc % h] ^ hi[acc // h]
+            radix = 2
+
+            def times(lo, hi, xs):
+                return [lo[x % h] ^ hi[x // h] for x in xs]
         else:
-            units = [[int(i == j) for j in range(half)] for i in range(half)]
-            red = _linear_table(units, p, radix, p)
+            radix = 2 * p - 1
+            rad = _digit_table(range(p), radix, half)
+            red = _digit_table([s % p for s in range(radix)], p, half)
+            neg = _digit_table([-c % p for c in range(p)], p, half)
             rh = radix ** half
-            for i in range(n1):
-                exp[i] = acc
-                log[acc] = i
-                sh, sl = divmod(lo[acc % h] + hi[acc // h], rh)
-                acc = red[sl] + red[sh] * h
-        if acc != 1:
+
+            def times(lo, hi, xs):
+                return [red[s % rh] + red[s // rh] * h
+                        for s in [lo[x % h] + hi[x // h] for x in xs]]
+
+        def tables(c):  # the halves of x -> c*x, entries in the given radix
+            images = [self.coeffs(self._mul_raw(p ** i, c)) for i in range(self.degree)]
+            return (_linear_table(images[:half], p, p, radix),
+                    _linear_table(images[half:], p, p, radix))
+
+        # g^0 .. g^(h-1) one step at a time, then h - 1 blocks of h at once,
+        # each block g^h times the one before; g^(h*h - 1) = g^n1 must be 1
+        lo, hi = tables(gen)
+        block = [1]
+        for _ in range(h - 1):
+            block += times(lo, hi, block[-1:])
+        lo, hi = tables(times(lo, hi, block[-1:])[0])
+        exp = [0] * self.order
+        exp[:h] = block
+        for start in range(h, self.order, h):
+            block = times(lo, hi, block)
+            exp[start:start + h] = block
+        if exp.pop() != 1:
             raise RuntimeError("generator order mismatch")
-        self._exp, self._log, self._zech = exp, log, None  # zech: odd p only
-        if p != 2:
-            # 1 + g^k: bump the constant digit of g^k; entries are the
-            # ints already held by log, so the table adds no new objects
-            top = p - 1
-            zech = [log[e + 1] if e % p != top else log[e - top] for e in exp]
-            zech[n1 // 2] = None  # g^(n1/2) = -1
-            self._zech = zech
+        log = [0] * self.order
+        for i, e in enumerate(exp):
+            log[e] = i
+        self._exp, self._log = exp, log
+        self._rad, self._red, self._neg = rad, red, neg
 
     def _find_k_generator(self) -> int:
         """The lex-first generator of F_{q^2}*, read from the listing of k."""
@@ -319,26 +339,17 @@ class FieldTower:
     def add(self, x: int, y: int) -> int:
         if self.p == 2:
             return x ^ y
-        if x == 0:
-            return y
-        if y == 0:
-            return x
-        # negative indices wrap, standing in for the reduction mod n1
-        zech, log = self._zech, self._log
-        lx = log[x]
-        z = zech[log[y] - lx]
-        if z is None:
-            return 0
-        return self._exp[lx + z - len(zech)]
+        h, rad, red = self.q2, self._rad, self._red
+        return red[rad[x % h] + rad[y % h]] + red[rad[x // h] + rad[y // h]] * h
 
     def neg(self, x: int) -> int:
-        if self.p == 2 or x == 0:
+        if self.p == 2:
             return x
-        exp = self._exp
-        return exp[self._log[x] - len(exp) // 2]
+        h, neg = self.q2, self._neg
+        return neg[x % h] + neg[x // h] * h
 
     def _add_raw(self, x: int, y: int) -> int:
-        """Digit-by-digit sum, the oracle for `add` (Zech tables or XOR)."""
+        """Digit-by-digit sum, the oracle for `add` (half tables or XOR)."""
         p = self.p
         code, mult = 0, 1
         for _ in range(self.degree):
@@ -357,6 +368,14 @@ class FieldTower:
             code += (-rx % p) * mult
             mult *= p
         return code
+
+    def log(self, x: int) -> int:
+        """The discrete log of a unit x to the table generator g."""
+        return self._log[x]
+
+    def exp(self, k: int) -> int:
+        """g^k for any integer k."""
+        return self._exp[k % (self.order - 1)]
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
@@ -389,10 +408,10 @@ class FieldTower:
 
     def subfield_level(self, x: int) -> int:
         """Smallest level of the tower containing x (level 4 = ambient)."""
-        for level in LEVELS:
+        for level in (1, 2):
             if self.in_level(x, level):
                 return level
-        raise RuntimeError("element outside ambient field")  # unreachable
+        return 4
 
     def elements(self, level: int) -> tuple[int, ...]:
         """All elements of the given level, sorted lexicographically."""

@@ -161,9 +161,9 @@ def order_sequences(curve: CurveModel) -> OrbitTable:
     for r in range(M):
         r2 = r * q2 % M
         if r2 > r:  # r is the least of its class
-            split(t._exp[r], 2 * g, [(1, 0)])
+            split(t.exp(r), 2 * g, [(1, 0)])
         elif r2 == r:  # alpha * sigma(x) = x
-            split(t._exp[r], g, [(1, 0), (scale[t._exp[r * (1 - q2) % n1]], 1)])
+            split(t.exp(r), g, [(1, 0), (scale[t.exp(r * (1 - q2))], 1)])
     total = sum(size for _, size in out.values())
     if total != curve.count(4):
         raise RuntimeError(f"orbit sizes sum to {total}, not the "

@@ -253,7 +253,7 @@ def log_count(curve, level):
     Q = t.level_order(level)
     g = gcd(curve.d, Q - 1)
     step = (t.order - 1) // (Q - 1) * g
-    powers = sum(1 for z in curve.image(level) if z and t._log[z] % step == 0)
+    powers = sum(1 for z in curve.image(level) if z and t.log(z) % step == 0)
     return 1 + len(curve.kernel(level)) * (1 + g * powers)
 
 

@@ -311,7 +311,7 @@ def test_tableless_tower_matches(t5):
 
 
 def raw_tables(tw):
-    """exp, log and zech as the tables were first built: the generator
+    """exp and log as the tables were first built: the generator
     search, then acc = _mul_raw(acc, gen) once per element."""
     n1 = tw.order - 1
     fac = prime_factors(n1)
@@ -322,31 +322,29 @@ def raw_tables(tw):
         exp.append(acc)
         acc = tw._mul_raw(acc, gen)
     assert acc == 1
-    log = {e: i for i, e in enumerate(exp)}
-    zech = None
-    if tw.p != 2:
-        zech = [log.get(tw._add_raw(e, 1)) for e in exp]
-    return exp, log, zech
+    return exp, {e: i for i, e in enumerate(exp)}
 
 
 @pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2),
                                  (2, 4), (11, 1)], ids=str)
 def test_tables_match_raw_recurrence(p, a):
     tw = build_tower(p, a)
-    exp, log, zech = raw_tables(tw)
+    exp, log = raw_tables(tw)
     assert tw._exp == exp
     assert len(tw._log) == tw.order
     assert all(tw._log[x] == i for x, i in log.items())
-    assert tw._zech == zech
 
 
-def test_tables_sampled_on_a_big_tower():
-    tw = build_tower(5, 2)
+# the three largest red tables within the default budget: 9^4, 5^6 and 61^2 entries
+@pytest.mark.parametrize("p,a", [(5, 2), (3, 3), (31, 1)], ids=str)
+def test_tables_sampled_on_a_big_tower(p, a):
+    tw = build_tower(p, a)
     rng = random.Random(52)
     for _ in range(20000):
         x, y = rng.randrange(tw.order), rng.randrange(tw.order)
         assert tw.mul(x, y) == tw._mul_raw(x, y)
         assert tw.add(x, y) == tw._add_raw(x, y)
+        assert tw.neg(x) == tw._neg_raw(x)
 
 
 @pytest.mark.parametrize("p,a", [(3, 1), (2, 2)], ids=str)
@@ -363,34 +361,32 @@ def test_corrupt_linear_table_fails_the_order_check(monkeypatch, p, a):
         build_tower(p, a)
 
 
-def assert_zech_matches_digits(tw, pairs):
+def assert_add_matches_digits(tw, pairs):
     for x, y in pairs:
         assert tw.add(x, y) == tw._add_raw(x, y)
         assert tw.add(x, tw.neg(y)) == tw._add_raw(x, tw._neg_raw(y))
 
 
-def test_zech_exhaustive_small_towers(t3, t5):
+def test_add_exhaustive_small_towers(t3, t5):
     for tw in (t3, t5):
-        assert tw._zech is not None
         everything = range(tw.order)
-        assert_zech_matches_digits(tw, itertools.product(everything, repeat=2))
+        assert_add_matches_digits(tw, itertools.product(everything, repeat=2))
         for x in everything:
             assert tw.neg(x) == tw._neg_raw(x)
 
 
-def test_zech_sampled_larger_towers(t7, t9):
+def test_add_sampled_larger_towers(t7, t9):
     for tw in (t7, t9):
         rng = random.Random(tw.order)
         pairs = [(rng.randrange(tw.order), rng.randrange(tw.order))
                  for _ in range(20000)]
-        assert_zech_matches_digits(tw, pairs)
+        assert_add_matches_digits(tw, pairs)
         for x, _ in pairs:
             assert tw.neg(x) == tw._neg_raw(x)
 
 
-def test_zech_zero_and_cancellation(t3, t5, t7, t9):
+def test_add_zero_and_cancellation(t3, t5, t7, t9):
     for tw in (t3, t5, t7, t9):
-        assert tw._zech[(tw.order - 1) // 2] is None
         assert tw.add(0, 0) == tw.add(0, tw.neg(0)) == tw.neg(0) == 0
         for x in (1, tw.p - 1, tw.xi, tw.order - 1):
             mx = tw.neg(x)
