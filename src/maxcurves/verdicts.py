@@ -9,6 +9,7 @@ Conjectural identities are always reported as flags, never asserted.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -338,6 +339,30 @@ class ConjectureReport:
     spent: int
 
 
+def _kernel_census(tower: FieldTower, table: list[list[int]],
+                   head: tuple[int, ...]) -> Counter:
+    """|ker F & k| - 1 for each a_(e-1) of the monic F with a_0, ..., a_(e-2)
+    = head: the y in k* with a_(e-1) = table[-1][y] + sum a_i table[i][y]."""
+    add, mul = tower.add, tower.mul
+    roots = table[-1]
+    for a, ratios in zip(head, table):
+        if a:
+            roots = [add(c, mul(a, r)) for c, r in zip(roots, ratios)]
+    return Counter(roots)
+
+
+def _maximal_kernels(q: int, p: int, e: int, d: int) -> set[int]:
+    """The sizes |ker F & k| that let a monic F of degree m1 = p^e reach the
+    maximal count q^2 + (m1 - 1)(d - 1)q + 1 as 1 + |K|(1 + g*hits), the
+    count of the `curve_model` docstring, g = gcd(d, q^2 - 1) and
+    0 <= hits <= min(q^2/|K| - 1, (q^2 - 1)/g)."""
+    g = math.gcd(d, q * q - 1)
+    target = q * q + (p ** e - 1) * (d - 1) * q  # the maximal count less 1
+    return {k for k in (p ** j for j in range(e + 1))
+            if target % k == 0 and (target // k - 1) % g == 0
+            and (target // k - 1) // g <= min(q * q // k - 1, (q * q - 1) // g)}
+
+
 def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
                        budget: int = 1 << 22) -> ConjectureReport:
     """Grid-search monic additive models of degree m1 for maximality.
@@ -349,9 +374,17 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
     a_i is least in its orbit under the rows that fix a_0, ..., a_(i-1),
     and the values allowed at i are kept per (position, fixing rows).
     Representatives come in `itertools.product` order over the lex-sorted
-    field, and the rest are counted as skipped_equivalent.  The budget
-    counts q^2 units (one level-2 field scan) per tested candidate; an
-    exhausted budget yields a partial report with complete=False.
+    field, and the rest are counted as skipped_equivalent.
+
+    Only candidates that can be maximal are built.  After a head a_0, ...,
+    a_(e-2), y in k* is a root of F iff a_(e-1) = -(y^m1 + sum over i < e-1
+    of a_i y^(p^i)) / y^(p^(e-1)), so one pass over k* per head gives
+    |ker F & k| for every a_(e-1) (`_kernel_census`).  All candidates share
+    one maximal count, which the count identity of the `curve_model`
+    docstring reaches only for some kernel sizes (`_maximal_kernels`).
+    The budget still counts q^2 units (one level-2 field scan) per tested
+    candidate, built or not; an exhausted budget yields a partial report
+    with complete=False.
     """
     q = tower.q
     p = tower.p
@@ -394,6 +427,11 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
         for v, rest in least(i, fixing):
             yield from walk(i + 1, rest, prefix + (v,))
 
+    # -y^(p^i - p^(e-1)) for i < e - 1, then -y^(m1 - p^(e-1)), over k*
+    table = [[tower.neg(tower.pow(y, w - p ** (e - 1))) for y in domains[0]]
+             for w in [p ** i for i in range(e - 1)] + [m1]]
+    maximal = _maximal_kernels(q, p, e, d)
+    head = census = None
     unit_cost = q * q
     tested = 0
     spent = 0
@@ -409,6 +447,11 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
             break
         spent += unit_cost
         tested += 1
+        if prefix[:-1] != head:
+            head = prefix[:-1]
+            census = _kernel_census(tower, table, head)
+        if 1 + census[prefix[-1]] not in maximal:
+            continue
         curve = define_curve(tower, prefix + (1,), d)
         if curve.is_maximal:
             n = _system_n(curve)

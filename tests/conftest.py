@@ -4,6 +4,8 @@ slow order-sequence oracles."""
 import pytest
 from hypothesis import settings
 
+import maxcurves.verdicts as verdicts
+
 from maxcurves import (
     Point,
     build_tower,
@@ -104,6 +106,14 @@ def add43(t4):
 def nonmax(t3):
     """y^3 + y = x^7 over F_9: valid model, far from maximal (10 points)."""
     return define_curve(t3, (1, 1), 7)
+
+
+@pytest.fixture
+def no_pruning(monkeypatch):
+    """The conjecture scan with its kernel rule off: every kernel size
+    admits a maximal count, so every walked candidate is built and counted."""
+    monkeypatch.setattr(verdicts, "_maximal_kernels",
+                        lambda q, p, e, d: {p ** j for j in range(e + 1)})
 
 
 # ---------------------------------------------------------------------------

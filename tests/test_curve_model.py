@@ -279,8 +279,8 @@ def assert_quartic_count(t, coeffs, d):
 
 @pytest.mark.parametrize("tower,m1", [("t4", 2), ("t8", 2), ("t8", 4), ("t9", 3),
                                       ("t9", 9), ("t16", 2)])
-def test_rank_count_matches_logs_on_every_scanned_candidate(monkeypatch, request,
-                                                            tower, m1):
+def test_rank_count_matches_logs_on_every_scanned_candidate(monkeypatch, no_pruning,
+                                                            request, tower, m1):
     t = request.getfixturevalue(tower)
     tested = []
 

@@ -58,6 +58,13 @@ GOLDEN = [
      "2e19f5060a2cdd147a8bc3e08f0300a1bc52173d3536979ec112abcdf9946711"),
     ("conjecture --p 2 --a 3 --m1 8 --scan-budget 25600", 3,
      "79b42d4f7d0da8dad0ab4aef9c71126497bf40a7e53f54eb8856353a45a398c6"),
+    ("conjecture --p 2 --a 4 --m1 4", 0,
+     "866a0784eb2491328517b9c278069d9b1afc2de26a567d31af73d6bbaa6c4dbd"),
+    ("conjecture --p 2 --a 3 --m1 8", 0,
+     "0dbf180c6b3762e0940c2455539f2e91b0fde5d3336428cf3a06a7da16f2198a"),
+    # (q^2 - 1)/g + 1 = 17 is no power of 3: count(2) walks the image
+    ("conjecture --p 3 --a 2 --m1 3 --d 5", 0,
+     "39aa9890e51083a3bc6ae8cb93a30f1b6c4c34ac66545f9e68b868c232ef316b"),
     ("normalize --p 5 --a 1 --fa 2 --fb 3 --m 3", 0,
      "c911ad05a3e1017bd8e5fb23281ac33bb5453cdd6a3265d3e794d2b5ec630029"),
     ("code --p 2 --a 1 --hermitian-m 3 --lambda 3 --exact", 0,

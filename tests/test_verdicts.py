@@ -568,7 +568,8 @@ ORBIT_CASES = [(2, 4, 4, 17, None), (2, 3, 4, 3, None), (2, 3, 8, 9, 3000),
 
 
 @pytest.mark.parametrize("p,a,m1,d,limit", ORBIT_CASES, ids=str)
-def test_scan_walks_the_orbit_min_representatives(monkeypatch, p, a, m1, d, limit):
+def test_scan_walks_the_orbit_min_representatives(monkeypatch, no_pruning,
+                                                  p, a, m1, d, limit):
     tower = build_tower(p, a)
     unit = tower.q ** 2
     reps, total = orbit_min_scan(tower, m1, d, limit)
@@ -592,6 +593,85 @@ def test_scan_walks_the_orbit_min_representatives(monkeypatch, p, a, m1, d, limi
         assert not rep.complete
         assert rep.tested == n and rep.spent == n * unit
         assert rep.skipped_equivalent == reps[n][0] - n
+
+
+@pytest.mark.parametrize("p,a,m1,d,limit", ORBIT_CASES, ids=str)
+def test_kernel_census_matches_the_elimination(monkeypatch, no_pruning,
+                                               p, a, m1, d, limit):
+    tower = build_tower(p, a)
+    kernel_census = verdicts._kernel_census
+    censuses = {}
+    walked = []
+
+    def census(tower, table, head):
+        censuses[head] = kernel_census(tower, table, head)
+        return censuses[head]
+
+    def record(tower, coeffs, d):
+        walked.append(coeffs)
+        return SimpleNamespace(is_maximal=False)
+
+    monkeypatch.setattr(verdicts, "_kernel_census", census)
+    monkeypatch.setattr(verdicts, "define_curve", record)
+    budget = (1 << 22) if limit is None else limit * tower.q ** 2
+    rep = conjecture_explore(tower, m1, d=d, budget=budget)
+    assert len(walked) == rep.tested
+    for coeffs in walked:
+        kernel = define_curve(tower, coeffs, d).kernel(2)
+        assert 1 + censuses[coeffs[:-2]][coeffs[-2]] == len(kernel)
+
+
+def scan_grid(d_max=lambda q: q + 1):
+    """(p, a, e, d) for every tower with q <= 9, every m1 = p^e and every
+    d <= d_max(q) prime to p."""
+    for p, a in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]:
+        for e in range(1, a + 1):
+            for d in range(2, d_max(p ** a) + 1):
+                if d % p:
+                    yield p, a, e, d
+
+
+def test_maximal_kernels_match_the_count_identity():
+    # a size is kept iff some hits in range gives 1 + K(1 + g*hits) = maximal;
+    # every d <= q^2 + 1, so every g = gcd(d, q^2 - 1) occurs
+    for p, a, e, d in scan_grid(lambda q: q * q + 1):
+        q, m1 = p ** a, p ** e
+        g = math.gcd(d, q * q - 1)
+        maximal = q * q + (m1 - 1) * (d - 1) * q + 1
+        expect = {k for k in (p ** j for j in range(e + 1))
+                  if any(1 + k * (1 + g * h) == maximal
+                         for h in range(min(q * q // k - 1, (q * q - 1) // g) + 1))}
+        assert verdicts._maximal_kernels(q, p, e, d) == expect, (p, a, e, d)
+
+
+def test_pruned_scan_reports_equal_the_full_scan(monkeypatch):
+    towers = {}
+    for p, a, e, d in scan_grid():
+        tower = towers.setdefault((p, a), build_tower(p, a))
+        m1, unit = p ** e, tower.q ** 2
+        # only the (2, 3, 8) scans walk more than 3000 candidates; capped
+        # there, the unpruned side takes about a second in all
+        for budget in (min(1 << 22, 3000 * unit), 5 * unit):
+            pruned = conjecture_explore(tower, m1, d=d, budget=budget)
+            with monkeypatch.context() as m:
+                m.setattr(verdicts, "_maximal_kernels",
+                          lambda q, p, e, d: {p ** j for j in range(e + 1)})
+                full = conjecture_explore(tower, m1, d=d, budget=budget)
+            assert pruned == full, (p, a, m1, d, budget)
+
+
+def test_kernel_rule_cuts_the_curves_built(monkeypatch, t8, t16):
+    built = []
+
+    def record(tower, coeffs, d):
+        built.append(coeffs)
+        return define_curve(tower, coeffs, d)
+
+    monkeypatch.setattr(verdicts, "define_curve", record)
+    for tower, m1, d, count in ((t16, 4, None, 731), (t8, 4, 3, 33)):
+        built.clear()
+        rep = conjecture_explore(tower, m1, d=d)
+        assert rep.complete and rep.tested > len(built) == count
 
 
 def test_conjecture_scan_validation(t4):
