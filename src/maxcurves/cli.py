@@ -28,12 +28,22 @@ from .field_tower import (
     build_tower,
     to_json,
 )
-from .verdicts import audit, bounds_report, conjecture_explore, normalize_model
+from .verdicts import SCAN_BUDGET, audit, bounds_report, conjecture_explore, normalize_model
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
+
+# error kind and exit code per exception type; the first match wins
+ERRORS = {
+    BudgetError: ("budget", EXIT_BUDGET),
+    PrecisionError: ("precision", EXIT_VALIDATION),
+    RuntimeError: ("identity", EXIT_IDENTITY),  # after its subclasses above
+    ValueError: ("validation", EXIT_VALIDATION),
+    ZeroDivisionError: ("validation", EXIT_VALIDATION),
+    OSError: ("validation", EXIT_VALIDATION),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="additive degree, a power of the characteristic")
     cj.add_argument("--d", type=int, default=None,
                     help="x-degree of the searched models (default q + 1)")
-    cj.add_argument("--scan-budget", type=_budget, default=1 << 22,
+    cj.add_argument("--scan-budget", type=_budget, default=SCAN_BUDGET,
                     help="total budget, q^2 units per tested candidate")
     cj.set_defaults(func=cmd_conjecture)
 
@@ -222,22 +232,11 @@ def main(argv=None) -> int:
         tower = build_tower(args.p, args.a, budget=args.budget)
         out, exit_code = args.func(args, tower)
         out["tower"] = tower.report()
-    except BudgetError as exc:
-        print(json.dumps({"error": str(exc), "kind": "budget"},
+    except tuple(ERRORS) as exc:
+        kind, code = next(v for t, v in ERRORS.items() if isinstance(exc, t))
+        print(json.dumps({"error": str(exc), "kind": kind},
                          sort_keys=True, indent=2), file=sys.stderr)
-        return EXIT_BUDGET
-    except PrecisionError as exc:
-        print(json.dumps({"error": str(exc), "kind": "precision"},
-                         sort_keys=True, indent=2), file=sys.stderr)
-        return EXIT_VALIDATION
-    except RuntimeError as exc:  # after its subclasses BudgetError, PrecisionError
-        print(json.dumps({"error": str(exc), "kind": "identity"},
-                         sort_keys=True, indent=2), file=sys.stderr)
-        return EXIT_IDENTITY
-    except (ValueError, ZeroDivisionError, OSError) as exc:
-        print(json.dumps({"error": str(exc), "kind": "validation"},
-                         sort_keys=True, indent=2), file=sys.stderr)
-        return EXIT_VALIDATION
+        return code
     print(json.dumps(out, sort_keys=True, indent=2))
     return exit_code
 

@@ -2,11 +2,12 @@
 
 F(T) = sum a_i T^(p^i) is F_p-linear with a_0 != 0, so every affine
 fiber of x is smooth and is y0 + ker F.  Each level has one `_echelon`
-of the pairs (F(b), b) over an F_p-basis b of the level, run once per
-curve: the pivot values span F(level), each with a preimage, and the
-pairs that reduce to 0 give a basis of ker F.  `fiber(x, level)` reduces
-(x^d, 0) against those pivots; the fiber is empty unless x^d is a value
-of F.  Counts build no points.
+of the pairs (F(b), b) over an F_p-basis b of the level (`_basis`; both
+helpers and `_span` come from `field_tower`), run once per curve: the
+pivot values span F(level), each with a preimage, and the pairs that
+reduce to 0 give a basis of ker F.  `fiber(x, level)` reduces (x^d, 0)
+against those pivots; the fiber is empty unless x^d is a value of F.
+Counts build no points.
 On the unit group of a level of order Q, x -> x^d is g-to-1 onto the
 exp[k] with k = 0 mod step, g = gcd(d, Q - 1), step = (q^4 - 1)/(Q - 1)*g,
 so the count is 1 + |ker F| * (1 + g * hits), hits the number of
@@ -22,11 +23,10 @@ the Hermitian curve itself.
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, log
 
-from .field_tower import FieldTower
+from .field_tower import FieldTower, _basis, _echelon, _span
 
 
 @dataclass(frozen=True)
@@ -54,64 +54,6 @@ class MaximalityReport:
     maximal: bool
     actual: int
     expected: int
-
-
-def _span(tower: FieldTower, vectors) -> list[int]:
-    """The F_p-span of the vectors; entry sum(c_i p^i) is sum(c_i vectors[i])."""
-    add = tower.add
-    out = [0]
-    for b in vectors:
-        part = out
-        for _ in range(tower.p - 1):
-            part = [add(v, b) for v in part]
-            out.extend(part)
-    return out
-
-
-def _basis(tower: FieldTower, level: int) -> list[int]:
-    """The F_p-basis of a level that F is eliminated over: 1, xi, ...,
-    xi^(2a-1) at level 2, independent because xi generates F_{q^2}*; the
-    digit basis p^i at level 4."""
-    if level == 2:
-        return [tower.pow(tower.xi, i) for i in range(2 * tower.a)]
-    if level == 4:
-        return [tower.p ** i for i in range(tower.degree)]
-    raise ValueError("points are counted and enumerated over levels 2 and 4")
-
-
-def _echelon(tower: FieldTower, pairs, pivots: dict[int, tuple[int, int]]) -> list[int]:
-    """F_p elimination of the pairs (v, b) against `pivots`; the kernel.
-
-    pivots maps a digit position to a pair whose value has its top nonzero
-    digit there, equal to 1.  Each row operation acts on both halves, so a
-    pair (F(b), b) stays one; a pair whose value reduces to 0 returns its
-    second half, and any other becomes a new pivot.  A step adds the pivot
-    scaled by -lead, whose code is the digit p - lead; a new pivot is
-    scaled by the `inv` of its lead.
-    """
-    p = tower.p
-    powers = [p ** i for i in range(tower.degree)]
-    add, mul = tower.add, tower.mul
-    kernel = []
-    for v, b in pairs:
-        while v:
-            top = bisect_right(powers, v) - 1
-            lead = v // powers[top]
-            pivot = pivots.get(top)
-            if pivot is None:
-                if lead != 1:
-                    inv = tower.inv(lead)
-                    v, b = mul(inv, v), mul(inv, b)
-                pivots[top] = (v, b)
-                break
-            pv, pb = pivot
-            f = p - lead
-            if f != 1:  # p = 2: f is 1
-                pv, pb = mul(f, pv), mul(f, pb)
-            v, b = add(v, pv), add(b, pb)
-        else:
-            kernel.append(b)
-    return kernel
 
 
 class CurveModel:

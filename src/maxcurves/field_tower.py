@@ -19,14 +19,15 @@ At run time the arithmetic is `add`, `neg`, `mul`, `inv` and `pow`;
 a difference is an `add` of a `neg`, a quotient a `mul` by an `inv`.
 Multiplication goes through discrete-log tables of a generator g of
 the ambient unit group.  An F_p-linear map x -> c*x is tabulated once
-per half of the digit vector from the images c*T^i (one `_mul_raw`
-each): c*x = lo[x % q^2] + hi[x // q^2].  For p = 2 the halves combine
-by XOR.  For odd p their entries hold digits in radix 2p - 1, so the
-sum carries nothing, and `red`, a table of (2p - 1)^(2a) entries, maps
-each half of the sum back to digits mod p.  The exp table is the orbit
-of 1 under g, built in blocks of q^2 entries: the first block one step
-of c = g at a time, each later block in one pass, the block before it
-times c = g^(q^2).  The log table is the inverse permutation.
+per half of the digit vector as the `_span` of the images c*T^i (one
+`_mul_raw` each): c*x = lo[x % q^2] + hi[x // q^2].  For p = 2 the
+halves combine by XOR.  For odd p their entries hold digits in radix
+2p - 1, so the sum carries nothing, and `red`, a table of (2p - 1)^(2a)
+entries, maps each half of the sum back to digits mod p.  The exp
+table is the orbit of 1 under g, built in blocks of q^2 entries: the
+first block one step of c = g at a time, each later block in one pass,
+the block before it times c = g^(q^2).  The log table is the inverse
+permutation.
 
 For p = 2 addition is XOR of the digit vectors and negation is the
 identity.  For odd p addition uses the same radix-(2p - 1) form: `rad`
@@ -35,6 +36,10 @@ is red[rad[x half] + rad[y half]], and negation is one table of q^2
 entries applied to each half.  Every table but exp and log has at most
 (2p - 1)^(2a) entries and stays in cache.  The digit loops `_add_raw`
 and `_neg_raw` are the oracles for both.
+
+The F_p-linear helpers over codes live here, the one module that reads
+digit positions: `_span` (entry sum(c_i p^i) is sum(c_i v_i), on `add`),
+`_basis` of levels 2 and 4, and `_echelon` by the top digit.
 
 The one lex order on elements compares residue digits constant term
 first; `lex_rank` maps an element to its int key in that order, the
@@ -51,6 +56,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 
 DEFAULT_AMBIENT_BUDGET = 1 << 20
@@ -153,16 +159,6 @@ def _is_irreducible_generic(f: list[int], p: int) -> bool:
     return True
 
 
-def _linear_table(vectors, p: int, span: int, radix: int) -> list[int]:
-    """Entry sum(c_i * span^i), 0 <= c_i < span, is sum(c_i * vectors[i])
-    over F_p, its digits written in the given radix."""
-    rows = [(0,) * len(vectors[0])]
-    for vec in vectors:
-        rows = [tuple((v + c * w) % p for v, w in zip(row, vec))
-                for c in range(span) for row in rows]
-    return [sum(v * radix ** k for k, v in enumerate(row)) for row in rows]
-
-
 def _digit_table(images, radix: int, n: int) -> list[int]:
     """Entry sum(c_i * len(images)^i) over n digits is sum(images[c_i] * radix^i):
     the recurrence t[s] = t[s // len(images)] * radix + images[s % len(images)]."""
@@ -170,6 +166,64 @@ def _digit_table(images, radix: int, n: int) -> list[int]:
     for _ in range(n):
         table = [v * radix + d for v in table for d in images]
     return table
+
+
+def _span(tower: FieldTower, vectors) -> list[int]:
+    """The F_p-span of the vectors; entry sum(c_i p^i) is sum(c_i vectors[i])."""
+    add = tower.add
+    out = [0]
+    for b in vectors:
+        part = out
+        for _ in range(tower.p - 1):
+            part = [add(v, b) for v in part]
+            out.extend(part)
+    return out
+
+
+def _basis(tower: FieldTower, level: int) -> list[int]:
+    """The F_p-basis of a level that F is eliminated over: 1, xi, ...,
+    xi^(2a-1) at level 2, independent because xi generates F_{q^2}*; the
+    digit basis p^i at level 4."""
+    if level == 2:
+        return [tower.pow(tower.xi, i) for i in range(2 * tower.a)]
+    if level == 4:
+        return [tower.p ** i for i in range(tower.degree)]
+    raise ValueError("points are counted and enumerated over levels 2 and 4")
+
+
+def _echelon(tower: FieldTower, pairs, pivots: dict[int, tuple[int, int]]) -> list[int]:
+    """F_p elimination of the pairs (v, b) against `pivots`; the kernel.
+
+    pivots maps a digit position to a pair whose value has its top nonzero
+    digit there, equal to 1.  Each row operation acts on both halves, so a
+    pair (F(b), b) stays one; a pair whose value reduces to 0 returns its
+    second half, and any other becomes a new pivot.  A step adds the pivot
+    scaled by -lead, whose code is the digit p - lead; a new pivot is
+    scaled by the `inv` of its lead.
+    """
+    p = tower.p
+    powers = [p ** i for i in range(tower.degree)]
+    add, mul = tower.add, tower.mul
+    kernel = []
+    for v, b in pairs:
+        while v:
+            top = bisect_right(powers, v) - 1
+            lead = v // powers[top]
+            pivot = pivots.get(top)
+            if pivot is None:
+                if lead != 1:
+                    inv = tower.inv(lead)
+                    v, b = mul(inv, v), mul(inv, b)
+                pivots[top] = (v, b)
+                break
+            pv, pb = pivot
+            f = p - lead
+            if f != 1:  # p = 2: f is 1
+                pv, pb = mul(f, pv), mul(f, pb)
+            v, b = add(v, pv), add(b, pb)
+        else:
+            kernel.append(b)
+    return kernel
 
 
 class FieldTower:
@@ -239,27 +293,29 @@ class FieldTower:
         if gen is None:
             raise RuntimeError("no generator of the ambient unit group")
         p, h, half = self.p, self.q2, 2 * self.a
-        rad = red = neg = None  # odd p only
         if p == 2:
-            radix = 2
+            self._rad = self._red = self._neg = None
 
             def times(lo, hi, xs):
                 return [lo[x % h] ^ hi[x // h] for x in xs]
         else:
             radix = 2 * p - 1
-            rad = _digit_table(range(p), radix, half)
-            red = _digit_table([s % p for s in range(radix)], p, half)
-            neg = _digit_table([-c % p for c in range(p)], p, half)
+            # set before the first `tables` call, whose spans use `add`
+            self._rad = rad = _digit_table(range(p), radix, half)
+            self._red = red = _digit_table([s % p for s in range(radix)], p, half)
+            self._neg = _digit_table([-c % p for c in range(p)], p, half)
             rh = radix ** half
 
             def times(lo, hi, xs):
                 return [red[s % rh] + red[s // rh] * h
                         for s in [lo[x % h] + hi[x // h] for x in xs]]
 
-        def tables(c):  # the halves of x -> c*x, entries in the given radix
-            images = [self.coeffs(self._mul_raw(p ** i, c)) for i in range(self.degree)]
-            return (_linear_table(images[:half], p, p, radix),
-                    _linear_table(images[half:], p, p, radix))
+        def tables(c):  # the halves of x -> c*x, entries in radix form for odd p
+            images = [self._mul_raw(p ** i, c) for i in range(self.degree)]
+            halves = _span(self, images[:half]), _span(self, images[half:])
+            if p == 2:
+                return halves
+            return tuple([rad[x % h] + rad[x // h] * rh for x in t] for t in halves)
 
         # g^0 .. g^(h-1) one step at a time, then h - 1 blocks of h at once,
         # each block g^h times the one before; g^(h*h - 1) = g^n1 must be 1
@@ -279,7 +335,6 @@ class FieldTower:
         for i, e in enumerate(exp):
             log[e] = i
         self._exp, self._log = exp, log
-        self._rad, self._red, self._neg = rad, red, neg
 
     def _find_k_generator(self) -> int:
         """The lex-first generator of F_{q^2}*, read from the listing of k."""

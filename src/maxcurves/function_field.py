@@ -266,7 +266,6 @@ def valuation_at(P: Point, f: FuncElement) -> int:
 class RRBasis:
     """Monomial basis of L(lambda * P_infinity), sorted by pole order."""
 
-    lam: int
     monomials: tuple[tuple[int, int], ...]
     pole_orders: tuple[int, ...]
 
@@ -287,7 +286,7 @@ def rr_basis(curve: CurveModel, lam: int) -> RRBasis:
             monos.append((i, j))
     monos.sort(key=lambda ij: ij[0] * r + ij[1] * d)
     orders = tuple(i * r + j * d for i, j in monos)
-    return RRBasis(lam, tuple(monos), orders)
+    return RRBasis(tuple(monos), orders)
 
 
 # ---------------------------------------------------------------------------

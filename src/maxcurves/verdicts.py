@@ -316,6 +316,9 @@ def embedding_check(curve: CurveModel, orders: OrbitTable) -> EmbeddingReport:
 # exhaustive search for second-branch models
 # ---------------------------------------------------------------------------
 
+SCAN_BUDGET = 1 << 22  # q^2 units, one level-2 field scan, per candidate
+
+
 @dataclass(frozen=True)
 class ConjectureHit:
     f_coeffs: tuple[int, ...] = field(metadata=ELEMENT)
@@ -364,7 +367,7 @@ def _maximal_kernels(q: int, p: int, e: int, d: int) -> set[int]:
 
 
 def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
-                       budget: int = 1 << 22) -> ConjectureReport:
+                       budget: int = SCAN_BUDGET) -> ConjectureReport:
     """Grid-search monic additive models of degree m1 for maximality.
 
     Rescaling y by a d-th power c turns a_i into a_i * c^(p^i - m1), so

@@ -349,16 +349,31 @@ def test_tables_sampled_on_a_big_tower(p, a):
 
 @pytest.mark.parametrize("p,a", [(3, 1), (2, 2)], ids=str)
 def test_corrupt_linear_table_fails_the_order_check(monkeypatch, p, a):
-    # with every table shifted by one entry the walk from 1 is not the
-    # orbit of g and does not end at 1; the build must say so
+    # with every span of the build shifted by one entry the walk from 1 is
+    # not the orbit of g and does not end at 1; the build must say so
     def rotated(*args):
-        table = linear_table(*args)
+        table = span(*args)
         return table[1:] + table[:1]
 
-    linear_table = field_tower._linear_table
-    monkeypatch.setattr(field_tower, "_linear_table", rotated)
+    span = field_tower._span
+    monkeypatch.setattr(field_tower, "_span", rotated)
     with pytest.raises(RuntimeError, match="generator order mismatch"):
         build_tower(p, a)
+
+
+def test_span_entries_follow_the_index_contract(t4, t5, t9):
+    # entry sum(c_i p^i) is sum(c_i * vectors[i]); the build's tables rest on it
+    for tw in (t4, t5, t9):
+        rng = random.Random(tw.order)
+        vectors = [rng.randrange(tw.order) for _ in range(4)]
+        span = field_tower._span(tw, vectors)
+        assert len(span) == tw.p ** len(vectors)
+        for index, entry in enumerate(span):
+            want = 0
+            for v in vectors:
+                index, c = divmod(index, tw.p)
+                want = tw._add_raw(want, tw._mul_raw(c, v))
+            assert entry == want
 
 
 def assert_add_matches_digits(tw, pairs):

@@ -173,3 +173,23 @@ def test_readme_commands_succeed(capsys, tmp_path, monkeypatch):
     for argv in commands:
         assert cli.main(argv) == 0, argv
         json.loads(capsys.readouterr().out)
+
+
+def workflow_commands():
+    text = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    step = re.search(r"- name: Installed console script\n(.*?)\n\s*- name:", text, re.S).group(1)
+    commands = []
+    for line in step.splitlines():
+        words = shlex.split(line)
+        if words[:1] == ["maxcurves"]:
+            commands.append(words[1:words.index(">")] if ">" in words else words[1:])
+    return commands
+
+
+def test_workflow_console_commands_succeed(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = workflow_commands()
+    assert len(commands) == 8
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+        json.loads(capsys.readouterr().out)
