@@ -50,7 +50,7 @@ def build_code(curve: CurveModel, lam: int) -> EvalCode:
     rows = tuple(
         tuple(t.mul(t.pow(P.x, i), t.pow(P.y, j)) for P in points)
         for i, j in basis.monomials)
-    rank = len(row_echelon(t, rows)[1])
+    rank = len(row_echelon(t, rows))
     return EvalCode(
         curve=curve,
         lam=lam,

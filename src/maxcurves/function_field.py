@@ -19,8 +19,9 @@ that recurrence (`_y_series`) develops y.  A nonzero polynomial of top
 weight w has w zeros counted with multiplicity, so v_P <= w and w + 1
 terms decide its valuation; PrecisionError is raised only when w + 1
 exceeds max_precision and the series vanishes up to that cap.
-`evaluate`, the valuations and `solve_section` are the test oracles of
-the expansions; the package does not export them.
+`evaluate`, the valuations and `solve_section` (which returns the
+section of least pole order) are the test oracles of the expansions;
+the package does not export them.
 """
 
 from __future__ import annotations
@@ -313,7 +314,12 @@ class SectionWitness:
 
 
 def solve_section(curve: CurveModel, lam: int, constraints) -> SectionWitness | None:
-    """Find f in L(lambda * P_infinity) with v_P(f) >= o for each (P, o)."""
+    """The f in L(lambda * P_infinity) of least pole order, top coefficient
+    1, with v_P(f) >= o for each (P, o); None if only f = 0 meets them.
+
+    Row m is monomial m's expansions at the constraints and a unit tail
+    (`row_echelon`); the tail pivot of least top index is f, up to scale.
+    """
     cons = list(constraints)
     for P, o in cons:
         if P.is_infinity:
@@ -322,25 +328,20 @@ def solve_section(curve: CurveModel, lam: int, constraints) -> SectionWitness | 
             raise ValueError("constraint point is not on the curve")
         if o < 1:
             raise ValueError("constraint orders must be >= 1")
-    basis = rr_basis(curve, lam)
-    monos = basis.monomials
-    rows = []
-    for P, o in cons:
-        cols = monomial_series(curve, P, monos, o)
-        for c in range(o):
-            rows.append([col[c] for col in cols])
-    tower = curve.tower
-    red, pivots = row_echelon(tower, rows)
-    rank = len(pivots)
-    pivot_set = set(pivots)
-    free = [c for c in range(len(monos)) if c not in pivot_set]
-    if not free:
+    monos = rr_basis(curve, lam).monomials
+    n = len(monos)
+    series = [monomial_series(curve, P, monos, o) for P, o in cons]
+    width = sum(o for _, o in cons)
+    rows = [[c for ser in series for c in ser[m]] + [int(k == m) for k in range(n)]
+            for m in range(n)]
+    pivots = row_echelon(curve.tower, rows)
+    rank = sum(c < width for c in pivots)
+    null = [piv[width:] for c, piv in pivots.items() if c >= width]
+    if not null:
         return None
-    coeff = [0] * len(monos)
-    coeff[free[0]] = 1
-    for ri, pc in enumerate(pivots):
-        coeff[pc] = tower.neg(red[ri][free[0]])
-    f = FuncElement(curve, {ij: c for ij, c in zip(monos, coeff) if c})
+    top, vec = min((max(i for i, c in enumerate(v) if c), v) for v in null)
+    f = FuncElement(curve, {ij: c for ij, c in zip(monos, vec) if c})
+    f = f.scaled(curve.tower.inv(vec[top]))
     pole = -valuation_at_infinity(f)
     zeros = []
     located = 0

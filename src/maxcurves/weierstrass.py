@@ -1,8 +1,8 @@
 """Order sequences, semigroup gaps, and the ramification audit.
 
-Order sequences are read off as the pivot columns of the row echelon
-form of the basis-expansion matrix at a point: the pivot columns are
-exactly the t-adic valuations attained by the linear system there.
+Order sequences are read off as the leading columns of the forward
+elimination of the basis-expansion matrix at a point: they are exactly
+the t-adic valuations attained by the linear system there.
 `order_sequences` returns one table, {representative: (orders, size)},
 one entry per orbit of the group G below.  The ramification audit, the
 order census and the embedding check read each entry once and weight
@@ -83,7 +83,8 @@ def order_sequence(curve: CurveModel, P: Point) -> tuple[int, ...]:
     nonzero f in L((q+1)P_inf) has at most q + 1 zeros counted with
     multiplicity, so v_P(f) <= q + 1 at every affine P.  Expansions to
     q + 2 terms therefore keep every f of the span nonzero with its
-    valuation intact, and one echelon pass fixes all pivots.
+    valuation intact, and the leading columns of one forward
+    elimination of those expansions are the orders.
     """
     q = curve.tower.q
     basis = rr_basis(curve, q + 1)
@@ -92,11 +93,11 @@ def order_sequence(curve: CurveModel, P: Point) -> tuple[int, ...]:
     if not curve.on_curve(P):
         raise ValueError("point is not on the curve")
     rows = monomial_series(curve, P, basis.monomials, q + 2)
-    _, pivots = row_echelon(curve.tower, rows)
+    pivots = row_echelon(curve.tower, rows)
     if len(pivots) != basis.dimension:
         raise PrecisionError(
             f"order sequence unresolved at precision {q + 2}")
-    return tuple(pivots)
+    return tuple(sorted(pivots))
 
 
 def _orbit_group(curve: CurveModel) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:

@@ -24,6 +24,7 @@ from maxcurves.function_field import (
     valuation_at,
     valuation_at_infinity,
 )
+from test_linalg import naive_rref
 
 
 def constant(curve, c):
@@ -477,6 +478,49 @@ def test_witness_matrix_rank(h23):
     P = h23.enumerate_points(2)[0]
     w = solve_section(h23, 4, [(P, 4)])
     assert w.matrix_rank == 3  # kernel dimension 1 inside dim-4 space
+
+
+def transposed_rref_section(curve, lam, cons):
+    """(f, rank) by the reduced form of the constraint matrix, one row per
+    (P, c < o) and one column per monomial: the null vector with the first
+    free column 1 and the others 0, by the Gauss-Jordan oracle."""
+    t = curve.tower
+    monos = rr_basis(curve, lam).monomials
+    rows = []
+    for P, o in cons:
+        cols = monomial_series(curve, P, monos, o)
+        rows += [[col[c] for col in cols] for c in range(o)]
+    red, pivots = naive_rref(t, rows)
+    free = [c for c in range(len(monos)) if c not in pivots]
+    if not free:
+        return None, len(pivots)
+    coeff = [0] * len(monos)
+    coeff[free[0]] = 1
+    for row, c in zip(red, pivots):
+        coeff[c] = t._neg_raw(row[free[0]])
+    return FuncElement(curve, {ij: v for ij, v in zip(monos, coeff) if v}), len(pivots)
+
+
+def test_least_pole_section_matches_transposed_rref(h23, h32):
+    # every affine point over F_{q^4}, lambda = q and q + 1, constraints of
+    # high and low order at P and one pair of points
+    found = {True: 0, False: 0}
+    for curve in (h23, h32):
+        q = curve.tower.q
+        pts = [P for P in curve.enumerate_points(4) if not P.is_infinity]
+        for P, Q in zip(pts, pts[1:] + pts[:1]):
+            high = q + 1 if curve.is_rational(P) else q
+            for lam in (q, q + 1):
+                for cons in ([(P, high)], [(P, 2)], [(P, 2), (Q, 1)]):
+                    w = solve_section(curve, lam, cons)
+                    f, rank = transposed_rref_section(curve, lam, cons)
+                    found[f is None] += 1
+                    if f is None:
+                        assert w is None, (curve, P, lam, cons)
+                    else:
+                        assert w.function == f, (curve, P, lam, cons)
+                        assert w.matrix_rank == rank
+    assert found[True] and found[False]
 
 
 def test_solve_section_validation(h23):

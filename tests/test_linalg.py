@@ -49,6 +49,14 @@ def random_matrix(tw, rng, nrows, ncols, rank):
     return rows
 
 
+def combination(tw, coeffs, rows):
+    """sum coeffs[i] * rows[i], by `_add_raw` and `_mul_raw` only."""
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [tw._add_raw(v, tw._mul_raw(c, w)) for v, w in zip(out, row)]
+    return out
+
+
 @pytest.mark.parametrize("p,a", [(2, 2), (5, 1)], ids=str)
 def test_row_echelon_matches_naive_rref(p, a):
     tw = build_tower(p, a)
@@ -58,11 +66,27 @@ def test_row_echelon_matches_naive_rref(p, a):
         nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 9)
         rank = rng.randrange(1, nrows + 1)
         rows = random_matrix(tw, rng, nrows, ncols, rank)
-        want = naive_rref(tw, rows)
-        assert row_echelon(tw, rows) == want, rows
-        deficient += len(want[1]) < nrows
+        red, want = naive_rref(tw, rows)
+        pivots = row_echelon(tw, rows)
+        assert sorted(pivots) == want, rows
+        for c, row in pivots.items():
+            assert len(row) == ncols and not any(row[:c]) and row[c] == 1
+        # same row space: equal reduced forms (a zero matrix has no rows)
+        if pivots:
+            assert naive_rref(tw, list(pivots.values()))[0] == red[:len(want)]
+        # a unit tail carries the row transform: pivots keyed in the tail
+        # are the vanishing combinations, one per rank deficiency
+        wide = [row + [int(k == i) for k in range(nrows)]
+                for i, row in enumerate(rows)]
+        tails = [row[ncols:] for c, row in row_echelon(tw, wide).items()
+                 if c >= ncols]
+        assert len(tails) == nrows - len(want)
+        for tail in tails:
+            assert any(tail)
+            assert combination(tw, tail, rows) == [0] * ncols
+        deficient += len(want) < nrows
     assert deficient >= 3
 
 
 def test_row_echelon_of_no_rows(t3):
-    assert row_echelon(t3, []) == ([], [])
+    assert row_echelon(t3, []) == {}
