@@ -3,10 +3,14 @@
 The verdict of each row is `maxcurves.audit`, the same one that
 `maxcurves audit` reports as all_identities.  Exits nonzero if any
 instance fails, so the script doubles as a smoke check after source
-changes.
+changes.  It imports maxcurves from the checkout's `src`, so it runs
+from a plain checkout: `python scripts/run_audits.py`.
 """
 
 import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from maxcurves import Skipped, audit, build_tower, define_curve, hermitian_curve
 

@@ -5,7 +5,7 @@ L(lambda * P_infinity) at every affine rational point in canonical
 enumeration order. Exact minimum distances are found by scanning
 message classes with the leading nonzero symbol fixed to 1, under an
 explicit work budget; a depth-first walk derives each word from its
-parent by adding one pre-scaled row, n additions per word.
+parent by adding one pre-scaled row, one packed add per word.
 `export_matrix` writes the generator matrix as CSV or JSON for other
 tools; the package reads neither format back.
 """
@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .curve_model import CurveModel
-from .field_tower import BudgetError
+from .field_tower import BudgetError, _packed_words
 from .function_field import rr_basis
 from .linalg import row_echelon
 
@@ -75,10 +75,12 @@ def min_distance_exact(code: EvalCode) -> DistanceReport:
     """Exact minimum weight by exhausting messages up to scalar multiples.
 
     Messages run in `itertools.product` order with the leading nonzero
-    symbol fixed to 1. Each row is scaled by every level-2 symbol once,
-    up front; a depth-first walk then derives each word from its parent
-    by one `add` per cell and no `mul`. `DISTANCE_BUDGET` still bounds
-    the ``q2**k * n`` cells.
+    symbol fixed to 1. Each row after the first is scaled by every unit
+    of level 2 once, up front, and every word is packed into one int
+    (`field_tower._packed_words`); a depth-first walk then derives each
+    word from its parent by one packed add and reads its weight by one
+    fold, with no `add` or `mul` per cell. `DISTANCE_BUDGET` still
+    bounds the ``q2**k * n`` cells.
     """
     t = code.curve.tower
     k = code.dimension
@@ -87,9 +89,10 @@ def min_distance_exact(code: EvalCode) -> DistanceReport:
     if cost > DISTANCE_BUDGET:
         raise BudgetError(f"distance scan needs {cost} cell operations, "
                           f"budget is {DISTANCE_BUDGET}")
-    # level-2 elements start with 0, so scaled[i][0] is the zero word
-    scaled = [[[t.mul(c, v) for v in row] for c in t.elements(2)]
-              for row in code.matrix]
+    pack, add, weight = _packed_words(t, n)
+    # the walk never adds row 0, which only leads; elements(2)[0] is 0
+    scaled = [[pack([t.mul(c, v) for v in row]) for c in t.elements(2)[1:]]
+              for row in code.matrix[1:]]
     best = n
     scanned = 0
 
@@ -97,14 +100,14 @@ def min_distance_exact(code: EvalCode) -> DistanceReport:
         nonlocal best, scanned
         if depth == k:
             scanned += 1
-            best = min(best, n - word.count(0))
+            best = min(best, weight(word))
             return
         walk(word, depth + 1)  # symbol 0 keeps the parent word
-        for srow in scaled[depth][1:]:
-            walk([t.add(w, s) for w, s in zip(word, srow)], depth + 1)
+        for srow in scaled[depth - 1]:
+            walk(add(word, srow), depth + 1)
 
     for lead in range(k):
-        walk(code.matrix[lead], lead + 1)
+        walk(pack(code.matrix[lead]), lead + 1)
     if best < code.d_designed:
         raise RuntimeError("scan found a word below the designed distance")
     return DistanceReport(

@@ -39,7 +39,10 @@ and `_neg_raw` are the oracles for both.
 
 The F_p-linear helpers over codes live here, the one module that reads
 digit positions: `_span` (entry sum(c_i p^i) is sum(c_i v_i), on `add`),
-`_basis` of levels 2 and 4, and `_echelon` by the top digit.
+`_basis` of levels 2 and 4, `_echelon` by the top digit, and
+`_packed_words`: `pack`, whole-word `add` and `weight` on words over k
+held in one int, each symbol's coordinates on the level-2 basis in bit
+fields.
 
 The one lex order on elements compares residue digits constant term
 first; `lex_rank` maps an element to its int key in that order, the
@@ -189,6 +192,47 @@ def _basis(tower: FieldTower, level: int) -> list[int]:
     if level == 4:
         return [tower.p ** i for i in range(tower.degree)]
     raise ValueError("points are counted and enumerated over levels 2 and 4")
+
+
+def _packed_words(tower: FieldTower, n: int):
+    """`pack`, `add` and `weight` on words of n symbols of k, each word one int.
+
+    A symbol is written as its 2a F_p-coordinates on `_basis(tower, 2)`,
+    the base-p digits of its index in their `_span`, one b-bit field
+    each with b = (p - 1).bit_length() + 1, and padded to whole bytes.
+    A field's top bit H = 2^(b-1) is at least p, and a digit sum, at most
+    2p - 2, stays in its field; `add` subtracts p from the fields where
+    s + H - p reaches H.  `weight` folds each symbol onto its bit 0.
+    """
+    p, m = tower.p, 2 * tower.a
+    b = (p - 1).bit_length() + 1
+    size = -(-m * b // 8)  # bytes per symbol
+    fields = _digit_table(range(p), 1 << b, m)  # entry i: i's base-p digits, one a field
+    table = {x: v.to_bytes(size, "little")
+             for x, v in zip(_span(tower, _basis(tower, 2)), fields)}
+    symbol = sum(1 << f * b for f in range(m)).to_bytes(size, "little")
+    ones = int.from_bytes(symbol * n, "little")  # 1 in every field
+    high, top = ones << (b - 1), b - 1
+    lift = high - p * ones
+    low = int.from_bytes((b"\1" + bytes(size - 1)) * n, "little")
+    shifts, reach = [], 1  # the fold ORs bits [0, reach) of a symbol into bit 0
+    while reach < m * b:
+        shifts.append(min(reach, m * b - reach))
+        reach += shifts[-1]
+
+    def pack(row) -> int:
+        return int.from_bytes(b"".join(map(table.__getitem__, row)), "little")
+
+    def add(u: int, v: int) -> int:
+        s = u + v
+        return s - p * (((s + lift) & high) >> top)
+
+    def weight(word: int) -> int:
+        for s in shifts:
+            word |= word >> s
+        return (word & low).bit_count()
+
+    return pack, add, weight
 
 
 def _echelon(tower: FieldTower, pairs, pivots: dict[int, tuple[int, int]]) -> list[int]:

@@ -142,9 +142,11 @@ def test_distance_scan_multiplies_only_in_its_table(h23, monkeypatch):
 
     monkeypatch.setattr(t, "mul", counted("mul"))
     monkeypatch.setattr(t, "add", counted("add"))
-    rep = min_distance_exact(code)
-    assert calls["mul"] <= code.dimension * t.q2 * code.length
-    assert calls["add"] <= rep.scanned * code.length
+    min_distance_exact(code)
+    # rows 1..k-1 are scaled once; words add packed, and the only `add`
+    # calls are the q^2 - 1 of the span that gives k its coordinates
+    assert calls["mul"] <= (code.dimension - 1) * t.q2 * code.length
+    assert calls["add"] == t.q2 - 1
 
 
 def test_distance_budget(h35, monkeypatch):

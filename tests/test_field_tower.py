@@ -376,6 +376,43 @@ def test_span_entries_follow_the_index_contract(t4, t5, t9):
             assert entry == want
 
 
+# p = 7 fills its fields tightest (H = 8), a = 3 packs 6 coordinates a symbol
+PACKED_TOWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("p,a", PACKED_TOWERS, ids=str)
+def test_packed_add_matches_add_on_every_pair(p, a):
+    # one word holds all of k; adding the constant word of y covers x + y
+    # for every x, with every symbol next to others in the same word
+    tw = build_tower(p, a)
+    k = tw.elements(2)
+    pack, add, weight = field_tower._packed_words(tw, len(k))
+    assert pack([0] * len(k)) == 0
+    assert len({pack([x]) for x in k}) == len(k)
+    word = pack(k)
+    for y in k:
+        sums = [tw.add(x, y) for x in k]
+        total = add(word, pack([y] * len(k)))
+        assert total == pack(sums), y
+        assert weight(total) == len(k) - sums.count(0)
+
+
+@pytest.mark.parametrize("p,a", PACKED_TOWERS, ids=str)
+def test_packed_weight_counts_nonzero_symbols(p, a):
+    tw = build_tower(p, a)
+    k = tw.elements(2)
+    pack, _, weight = field_tower._packed_words(tw, 3)
+    for x in k:
+        assert weight(pack([0, x, 0])) == (x != 0), x
+        assert weight(pack([x, 0, x])) == 2 * (x != 0), x
+    rng = random.Random(p ** a)
+    for n in (1, 2, 5, 40):
+        pack, _, weight = field_tower._packed_words(tw, n)
+        for _ in range(50):
+            row = [rng.choice(k) if rng.random() < 0.5 else 0 for _ in range(n)]
+            assert weight(pack(row)) == n - row.count(0), row
+
+
 def assert_add_matches_digits(tw, pairs):
     for x, y in pairs:
         assert tw.add(x, y) == tw._add_raw(x, y)

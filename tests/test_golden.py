@@ -73,6 +73,13 @@ GOLDEN = [
      "2c630a483a09923eacb4a470c18d79e64cc3cb44ad2ab46ac13f64f6f4561db6"),
     ("code --p 3 --a 1 --hermitian-m 4 --lambda 4 --exact", 0,
      "c29fa8a1fc446c6dbf4ace53ed1eea6085a8d26608bb21adb67a2eb3426f086e"),
+    # odd p and a = 3: the packed scan's field widths 4, 4 and 2 bits
+    ("code --p 5 --a 1 --hermitian-m 3 --lambda 3 --exact", 0,
+     "c60bf43fdb7098ae90677e5eaf6d0afa000c4cb1d63a928b0cd4f535e0bf2568"),
+    ("code --p 7 --a 1 --hermitian-m 4 --lambda 4 --exact", 0,
+     "18dfc37e2fbf7a09d062e5343a61d653d638a56a30f5652eec3237794d10e3f1"),
+    ("code --p 2 --a 3 --hermitian-m 3 --lambda 3 --exact", 0,
+     "1e0880ce1916175cb7df88143e12bdb033c437338af8b128a22e45016204f43f"),
     ("curve --p 3 --a 1 --hermitian-m 2", 0,
      "e76b74876fedcf3a11b3221d6d9074f262227a33740f2bfc4f3c9bf188e37d0c"),
     ("curve --p 3 --a 1 --additive 1,1 --d 7", 0,
@@ -189,7 +196,7 @@ def workflow_commands():
 def test_workflow_console_commands_succeed(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     commands = workflow_commands()
-    assert len(commands) == 8
+    assert len(commands) == 9
     for argv in commands:
         assert cli.main(argv) == 0, argv
         json.loads(capsys.readouterr().out)
