@@ -15,7 +15,9 @@ z != 0 in F(level) with log z = 0 mod step.  When those powers and 0 form
 a subfield L = F_{p^j}, that is (Q - 1)/g + 1 = p^j, hits + 1 = p^i with
 i the number of the basis vectors 1, eta, ..., eta^(j-1) of L,
 eta = exp[step], that reduce to 0 against the pivots of F; otherwise the
-count walks F(level).  The family tagged
+count walks F(level).  `_level_count` is this rule; it reads only the
+pivots and |ker F|, so the conjecture scan counts each candidate from its
+own pivots of F(k) without building a curve.  The family tagged
 "hermitian-type" is y^q + y = x^m with m dividing q + 1; m = q + 1 gives
 the Hermitian curve itself.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from math import gcd, log
+from math import gcd
 
 from .field_tower import FieldTower, _basis, _echelon, _span
 
@@ -136,23 +138,9 @@ class CurveModel:
         return self._counts[level]
 
     def _count(self, level: int) -> int:
-        """1 + |ker F| * (1 + g * hits), hits by the subfield rank or by a
-        walk of `image(level)` (module docstring); the inner 1 is x = 0."""
-        t = self.tower
+        """`_level_count` from this curve's elimination of the level."""
         pivots, kernel = self._eliminate(level)
-        Q = t.level_order(level)
-        g = gcd(self.d, Q - 1)
-        step = (t.order - 1) // (Q - 1) * g
-        size = (Q - 1) // g + 1  # the d-th powers and 0
-        j = round(log(size, t.p))  # exact whenever size is a power of p
-        if t.p ** j == size:
-            eta = t.exp(step)
-            # the basis vectors of L that reduce to 0 span F(level) & L
-            shared = _echelon(t, [(t.pow(eta, i), 0) for i in range(j)], dict(pivots))
-            hits = t.p ** len(shared) - 1
-        else:
-            hits = sum(1 for z in self.image(level) if z and t.log(z) % step == 0)
-        return 1 + len(kernel) * (1 + g * hits)
+        return _level_count(self.tower, pivots, len(kernel), level, self.d)
 
     # -- maximality --------------------------------------------------------------
 
@@ -212,6 +200,30 @@ class CurveModel:
 
     def __repr__(self) -> str:
         return f"CurveModel({self.family}, d={self.d}, deg_f={self.deg_f}, q={self.tower.q})"
+
+
+def _level_count(tower: FieldTower, pivots: dict[int, tuple[int, int]], kernel: int,
+                 level: int, d: int) -> int:
+    """The points of F(y) = x^d over the level, from kernel = |ker F| and
+    pivots whose values span F(level): 1 + kernel * (1 + g * hits), hits by
+    the subfield rank or by a walk of the span (module docstring); the
+    inner 1 is x = 0."""
+    Q = tower.level_order(level)
+    g = gcd(d, Q - 1)
+    step = (tower.order - 1) // (Q - 1) * g
+    size = (Q - 1) // g + 1  # the d-th powers and 0
+    j = 0
+    while tower.p ** j < size:
+        j += 1
+    if tower.p ** j == size:
+        eta = tower.exp(step)
+        # the basis vectors of L that reduce to 0 span F(level) & L
+        shared = _echelon(tower, [(tower.pow(eta, i), 0) for i in range(j)], dict(pivots))
+        hits = tower.p ** len(shared) - 1
+    else:
+        hits = sum(1 for z in _span(tower, [v for v, _ in pivots.values()])
+                   if z and tower.log(z) % step == 0)
+    return 1 + kernel * (1 + g * hits)
 
 
 def define_curve(tower: FieldTower, f_coeffs, d: int) -> CurveModel:

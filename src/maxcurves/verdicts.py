@@ -13,8 +13,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .curve_model import INFINITY, CurveModel, define_curve, is_trace_shaped
-from .field_tower import ELEMENT, FieldTower
+from .curve_model import INFINITY, CurveModel, _level_count, define_curve, is_trace_shaped
+from .field_tower import ELEMENT, FieldTower, _basis, _echelon
 from .function_field import x_of, y_of
 from .weierstrass import (
     LinearSystemInfo,
@@ -379,15 +379,20 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
     Representatives come in `itertools.product` order over the lex-sorted
     field, and the rest are counted as skipped_equivalent.
 
-    Only candidates that can be maximal are built.  After a head a_0, ...,
-    a_(e-2), y in k* is a root of F iff a_(e-1) = -(y^m1 + sum over i < e-1
-    of a_i y^(p^i)) / y^(p^(e-1)), so one pass over k* per head gives
-    |ker F & k| for every a_(e-1) (`_kernel_census`).  All candidates share
-    one maximal count, which the count identity of the `curve_model`
-    docstring reaches only for some kernel sizes (`_maximal_kernels`).
-    The budget still counts q^2 units (one level-2 field scan) per tested
-    candidate, built or not; an exhausted budget yields a partial report
-    with complete=False.
+    Only candidates whose count is the maximal one are built.  After a
+    head a_0, ..., a_(e-2), y in k* is a root of F iff a_(e-1) =
+    -(y^m1 + sum over i < e-1 of a_i y^(p^i)) / y^(p^(e-1)), so one pass
+    over k* per head gives |ker F & k| for every a_(e-1) (`_kernel_census`).
+    All candidates share one maximal count, which the count identity of the
+    `curve_model` docstring reaches only for some kernel sizes
+    (`_maximal_kernels`); the other candidates are not counted.  F is linear
+    in a_(e-1): with F(b) - a_(e-1) b^(p^(e-1)) tabulated on the basis b of
+    k once per head, a candidate's values F(b) cost 2a `mul` and `add`, and
+    one `_echelon` of them gives the pivots that `_level_count` counts
+    from.  A built curve is a hit when `is_maximal` holds.  The budget
+    still counts q^2 units (one level-2 field scan) per tested candidate,
+    built or not; an exhausted budget yields a partial report with
+    complete=False.
     """
     q = tower.q
     p = tower.p
@@ -405,7 +410,7 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
     d_prime = math.gcd(d, q * q - 1)
     scalers = {tower.pow(z, d_prime) for z in domains[0]}
     rows = frozenset(tuple(tower.pow(c, p ** i - m1) for i in range(e)) for c in scalers)
-    mul = tower.mul
+    add, mul = tower.add, tower.mul
     allowed: dict[tuple[int, frozenset], list] = {}
 
     def least(i: int, fixing: frozenset) -> list:
@@ -433,7 +438,10 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
     # -y^(p^i - p^(e-1)) for i < e - 1, then -y^(m1 - p^(e-1)), over k*
     table = [[tower.neg(tower.pow(y, w - p ** (e - 1))) for y in domains[0]]
              for w in [p ** i for i in range(e - 1)] + [m1]]
+    # b^(p^i) for i <= e on the basis of k: F(b) = head(b) + a_(e-1) b^(p^(e-1)) + b^m1
+    powers = [[tower.pow(b, p ** i) for b in _basis(tower, 2)] for i in range(e + 1)]
     maximal = _maximal_kernels(q, p, e, d)
+    target = q * q + (m1 - 1) * (d - 1) * q + 1
     head = census = None
     unit_cost = q * q
     tested = 0
@@ -453,7 +461,17 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
         if prefix[:-1] != head:
             head = prefix[:-1]
             census = _kernel_census(tower, table, head)
-        if 1 + census[prefix[-1]] not in maximal:
+            images = powers[e]  # F on the basis, less a_(e-1) b^(p^(e-1))
+            for c, column in zip(head, powers):
+                if c:
+                    images = [add(v, mul(c, w)) for v, w in zip(images, column)]
+        a, kernel = prefix[-1], 1 + census[prefix[-1]]
+        if kernel not in maximal:
+            continue
+        pivots: dict[int, tuple[int, int]] = {}
+        _echelon(tower, [(add(v, mul(a, w)), 0) for v, w in zip(images, powers[e - 1])],
+                 pivots)
+        if _level_count(tower, pivots, kernel, 2, d) != target:
             continue
         curve = define_curve(tower, prefix + (1,), d)
         if curve.is_maximal:

@@ -110,10 +110,17 @@ def nonmax(t3):
 
 @pytest.fixture
 def no_pruning(monkeypatch):
-    """The conjecture scan with its kernel rule off: every kernel size
-    admits a maximal count, so every walked candidate is built and counted."""
-    monkeypatch.setattr(verdicts, "_maximal_kernels",
-                        lambda q, p, e, d: {p ** j for j in range(e + 1)})
+    """The conjecture scan with both of its rules off: every kernel size
+    admits the maximal count, and every candidate's image count is taken to
+    be that count, so every walked candidate is built and counted."""
+    maximal = []
+
+    def every_kernel(q, p, e, d):
+        maximal[:] = [q * q + (p ** e - 1) * (d - 1) * q + 1]
+        return {p ** j for j in range(e + 1)}
+
+    monkeypatch.setattr(verdicts, "_maximal_kernels", every_kernel)
+    monkeypatch.setattr(verdicts, "_level_count", lambda *args: maximal[0])
 
 
 # ---------------------------------------------------------------------------

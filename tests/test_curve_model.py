@@ -359,9 +359,16 @@ def test_count_runs_once_per_level(monkeypatch, capsys, t4):
     assert cli.main(["curve", "--p", "2", "--a", "2", "--hermitian-m", "5"]) == 0
     assert calls == [2, 4]
     calls.clear()
+    built = []
+
+    def record(tower, coeffs, d):
+        built.append(coeffs)
+        return define_curve(tower, coeffs, d)
+
+    monkeypatch.setattr(verdicts, "define_curve", record)
     rep = conjecture_explore(t4, 2)
-    assert rep.hits
-    assert calls == [2] * rep.tested
+    assert rep.hits and rep.tested > len(built)
+    assert calls == [2] * len(built)
 
 
 def test_one_elimination_per_level(monkeypatch, t5):

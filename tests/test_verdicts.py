@@ -33,6 +33,7 @@ from maxcurves import (
     x_of,
     y_of,
 )
+from maxcurves.curve_model import _level_count
 from maxcurves.weierstrass import semigroup_gaps
 
 
@@ -644,20 +645,19 @@ def test_maximal_kernels_match_the_count_identity():
         assert verdicts._maximal_kernels(q, p, e, d) == expect, (p, a, e, d)
 
 
-def test_pruned_scan_reports_equal_the_full_scan(monkeypatch):
-    towers = {}
+def test_pruned_scan_reports_equal_the_full_scan(request):
+    towers, pruned = {}, {}
+    # only the (2, 3, 8) scans walk more than 3000 candidates; capped
+    # there, the unpruned side takes about a second in all
     for p, a, e, d in scan_grid():
         tower = towers.setdefault((p, a), build_tower(p, a))
-        m1, unit = p ** e, tower.q ** 2
-        # only the (2, 3, 8) scans walk more than 3000 candidates; capped
-        # there, the unpruned side takes about a second in all
-        for budget in (min(1 << 22, 3000 * unit), 5 * unit):
-            pruned = conjecture_explore(tower, m1, d=d, budget=budget)
-            with monkeypatch.context() as m:
-                m.setattr(verdicts, "_maximal_kernels",
-                          lambda q, p, e, d: {p ** j for j in range(e + 1)})
-                full = conjecture_explore(tower, m1, d=d, budget=budget)
-            assert pruned == full, (p, a, m1, d, budget)
+        for budget in (min(1 << 22, 3000 * tower.q ** 2), 5 * tower.q ** 2):
+            pruned[p, a, e, d, budget] = conjecture_explore(tower, p ** e, d=d,
+                                                            budget=budget)
+    request.getfixturevalue("no_pruning")  # both rules off from here on
+    for (p, a, e, d, budget), rep in pruned.items():
+        full = conjecture_explore(towers[p, a], p ** e, d=d, budget=budget)
+        assert rep == full, (p, a, p ** e, d, budget)
 
 
 def test_kernel_rule_cuts_the_curves_built(monkeypatch, t8, t16):
@@ -668,10 +668,42 @@ def test_kernel_rule_cuts_the_curves_built(monkeypatch, t8, t16):
         return define_curve(tower, coeffs, d)
 
     monkeypatch.setattr(verdicts, "define_curve", record)
-    for tower, m1, d, count in ((t16, 4, None, 731), (t8, 4, 3, 33)):
+    for tower, m1, d, count in ((t16, 4, None, 3), (t8, 4, 3, 2), (t8, 8, None, 1)):
         built.clear()
         rep = conjecture_explore(tower, m1, d=d)
         assert rep.complete and rep.tested > len(built) == count
+        assert built == [hit.f_coeffs for hit in rep.hits]
+
+
+def test_image_count_matches_the_curve_count(monkeypatch):
+    # every candidate that the kernel rule admits is built here, and the
+    # scan's count from F's image must be the built curve's count(2)
+    branches = set()
+    cases = list(scan_grid()) + [(2, 4, 2, 17)]
+    towers = {(p, a): build_tower(p, a) for p, a, _, _ in cases}
+    for p, a, e, d in cases:
+        tower, q = towers[p, a], p ** a
+        counts, built = [], []
+
+        def image_count(tower, pivots, kernel, level, d):
+            counts.append(_level_count(tower, pivots, kernel, level, d))
+            return q * q + (p ** e - 1) * (d - 1) * q + 1
+
+        def record(tower, coeffs, d):
+            built.append(coeffs)
+            return SimpleNamespace(is_maximal=False)
+
+        with monkeypatch.context() as m:
+            m.setattr(verdicts, "_level_count", image_count)
+            m.setattr(verdicts, "define_curve", record)
+            conjecture_explore(tower, p ** e, d=d)
+        assert len(counts) == len(built), (p, a, e, d)
+        for n, coeffs in zip(counts, built):
+            assert n == define_curve(tower, coeffs, d).count(2), (p, a, e, d, coeffs)
+        if built:
+            size = (q * q - 1) // math.gcd(d, q * q - 1) + 1  # the d-th powers and 0
+            branches.add(size in {p ** j for j in range(2 * a + 1)})
+    assert branches == {True, False}  # subfield rank and image walk
 
 
 def test_conjecture_scan_validation(t4):
