@@ -17,7 +17,9 @@ i the number of the basis vectors 1, eta, ..., eta^(j-1) of L,
 eta = exp[step], that reduce to 0 against the pivots of F; otherwise the
 count walks F(level).  `_level_count` is this rule; it reads only the
 pivots and |ker F|, so the conjecture scan counts each candidate from its
-own pivots of F(k) without building a curve.  The family tagged
+own pivots of F(k) without building a curve.  `_maximal_count` is the
+count that maximality forces over F_{q^(2j)}; `maximality_report`,
+`predicted_count` and the conjecture scan all read it.  The family tagged
 "hermitian-type" is y^q + y = x^m with m dividing q + 1; m = q + 1 gives
 the Hermitian curve itself.
 """
@@ -146,8 +148,7 @@ class CurveModel:
 
     def maximality_report(self) -> MaximalityReport:
         """count(2) against the Hasse-Weil bound q^2 + 2gq + 1."""
-        q = self.tower.q
-        expected = q * q + 2 * self.genus * q + 1
+        expected = _maximal_count(self.tower.q, self.genus, 1)
         actual = self.count(2)
         return MaximalityReport(actual == expected, actual, expected)
 
@@ -161,8 +162,7 @@ class CurveModel:
             raise ValueError("extension index j must be >= 1")
         if not self.is_maximal:
             raise ValueError("curve is not maximal; no forced counts")
-        q = self.tower.q
-        return q ** (2 * j) + 1 - 2 * self.genus * (-q) ** j
+        return _maximal_count(self.tower.q, self.genus, j)
 
     # -- point structure --------------------------------------------------------
 
@@ -200,6 +200,12 @@ class CurveModel:
 
     def __repr__(self) -> str:
         return f"CurveModel({self.family}, d={self.d}, deg_f={self.deg_f}, q={self.tower.q})"
+
+
+def _maximal_count(q: int, genus: int, j: int) -> int:
+    """q^(2j) + 1 - 2g(-q)^j, the points over F_{q^(2j)} of a maximal curve of
+    genus g over F_{q^2}; j = 1 is the Hasse-Weil bound q^2 + 2gq + 1."""
+    return q ** (2 * j) + 1 - 2 * genus * (-q) ** j
 
 
 def _level_count(tower: FieldTower, pivots: dict[int, tuple[int, int]], kernel: int,

@@ -10,10 +10,11 @@ lexicographically first candidates, so two towers built from the same
 (p, a) are identical object for object.
 
 Construction takes one path for every p: the modulus search, the
-generator search and the products that seed the tables all use the
-dense `_poly_*` arithmetic over F_p.  `_mul_raw` and `_pow_raw`, the
-products straight from the residue polynomials, build the tables and
-are the oracles the tests check them against.
+generator search (`_first_of_order`, which later finds xi from the
+tables) and the products that seed the tables all use the dense
+`_poly_*` arithmetic over F_p.  `_mul_raw` and `_pow_raw`, the products
+straight from the residue polynomials, build the tables and are the
+oracles the tests check them against.
 
 At run time the arithmetic is `add`, `neg`, `mul`, `inv` and `pow`;
 a difference is an `add` of a `neg`, a quotient a `mul` by an `inv`.
@@ -39,10 +40,10 @@ and `_neg_raw` are the oracles for both.
 
 The F_p-linear helpers over codes live here, the one module that reads
 digit positions: `_span` (entry sum(c_i p^i) is sum(c_i v_i), on `add`),
-`_basis` of levels 2 and 4, `_echelon` by the top digit, and
-`_packed_words`: `pack`, whole-word `add` and `weight` on words over k
-held in one int, each symbol's coordinates on the level-2 basis in bit
-fields.
+`_basis` of levels 2 and 4 and `_echelon` by the top digit (both read
+the digit powers p^i, built once per tower), and `_packed_words`:
+`pack`, whole-word `add` and `weight` on words over k held in one int,
+each symbol's coordinates on the level-2 basis in bit fields.
 
 The one lex order on elements compares residue digits constant term
 first; `lex_rank` maps an element to its int key in that order, the
@@ -162,6 +163,16 @@ def _is_irreducible_generic(f: list[int], p: int) -> bool:
     return True
 
 
+def _first_of_order(n: int, candidates, power) -> int:
+    """The first candidate x with x^(n/f) != 1 for each prime f | n: of
+    multiplicative order n when every candidate's order divides n."""
+    fac = prime_factors(n)
+    for x in candidates:
+        if all(power(x, n // f) != 1 for f in fac):
+            return x
+    raise RuntimeError(f"no element of order {n} found")  # unreachable
+
+
 def _digit_table(images, radix: int, n: int) -> list[int]:
     """Entry sum(c_i * len(images)^i) over n digits is sum(images[c_i] * radix^i):
     the recurrence t[s] = t[s // len(images)] * radix + images[s % len(images)]."""
@@ -183,14 +194,14 @@ def _span(tower: FieldTower, vectors) -> list[int]:
     return out
 
 
-def _basis(tower: FieldTower, level: int) -> list[int]:
+def _basis(tower: FieldTower, level: int) -> tuple[int, ...]:
     """The F_p-basis of a level that F is eliminated over: 1, xi, ...,
     xi^(2a-1) at level 2, independent because xi generates F_{q^2}*; the
     digit basis p^i at level 4."""
     if level == 2:
-        return [tower.pow(tower.xi, i) for i in range(2 * tower.a)]
+        return tuple(tower.pow(tower.xi, i) for i in range(2 * tower.a))
     if level == 4:
-        return [tower.p ** i for i in range(tower.degree)]
+        return tower._digit_powers
     raise ValueError("points are counted and enumerated over levels 2 and 4")
 
 
@@ -245,8 +256,7 @@ def _echelon(tower: FieldTower, pairs, pivots: dict[int, tuple[int, int]]) -> li
     scaled by -lead, whose code is the digit p - lead; a new pivot is
     scaled by the `inv` of its lead.
     """
-    p = tower.p
-    powers = [p ** i for i in range(tower.degree)]
+    p, powers = tower.p, tower._digit_powers
     add, mul = tower.add, tower.mul
     kernel = []
     for v, b in pairs:
@@ -287,9 +297,9 @@ class FieldTower:
         self.a = a
         self.q = p ** a
         self.q2 = self.q ** 2
-        self.q4 = self.q ** 4
         self.degree = 4 * a
-        self.order = self.q4
+        self.order = self.q ** 4
+        self._digit_powers = tuple(p ** i for i in range(self.degree))
         if self.order > budget:
             raise BudgetError(
                 f"ambient order p^(4a) = {self.order} exceeds budget {budget}")
@@ -302,7 +312,7 @@ class FieldTower:
             rev[x] = rev[x // p] // p + (x % p) * half_top
         self._rev = rev
         self._level_cache: dict[int, tuple[int, ...]] = {}
-        self.xi = self._find_k_generator()
+        self.xi = _first_of_order(self.q2 - 1, self.elements(2)[1:], self.pow)
 
     # -- construction ------------------------------------------------------
 
@@ -327,15 +337,7 @@ class FieldTower:
         return self.element(_poly_powmod(list(self.coeffs(x)), e, list(self.modulus), self.p))
 
     def _build_tables(self) -> None:
-        n1 = self.order - 1
-        fac = prime_factors(n1)
-        gen = None
-        for cand in range(2, self.order):
-            if all(self._pow_raw(cand, n1 // f) != 1 for f in fac):
-                gen = cand
-                break
-        if gen is None:
-            raise RuntimeError("no generator of the ambient unit group")
+        gen = _first_of_order(self.order - 1, range(2, self.order), self._pow_raw)
         p, h, half = self.p, self.q2, 2 * self.a
         if p == 2:
             self._rad = self._red = self._neg = None
@@ -362,7 +364,7 @@ class FieldTower:
             return tuple([rad[x % h] + rad[x // h] * rh for x in t] for t in halves)
 
         # g^0 .. g^(h-1) one step at a time, then h - 1 blocks of h at once,
-        # each block g^h times the one before; g^(h*h - 1) = g^n1 must be 1
+        # each block g^h times the one before; g^(h*h - 1) must be 1
         lo, hi = tables(gen)
         block = [1]
         for _ in range(h - 1):
@@ -379,15 +381,6 @@ class FieldTower:
         for i, e in enumerate(exp):
             log[e] = i
         self._exp, self._log = exp, log
-
-    def _find_k_generator(self) -> int:
-        """The lex-first generator of F_{q^2}*, read from the listing of k."""
-        target = self.q2 - 1
-        fac = prime_factors(target)
-        for x in self.elements(2)[1:]:
-            if all(self.pow(x, target // f) != 1 for f in fac):
-                return x
-        raise RuntimeError("no generator of F_{q^2}* found")  # unreachable
 
     # -- encoding ----------------------------------------------------------
 

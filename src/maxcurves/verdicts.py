@@ -4,6 +4,7 @@ Everything here reduces a structural claim to finite checks on a
 concrete tower: point counts, pole orders, interval membership
 over exact fractions, or exhaustive grids with explicit budgets.
 Conjectural identities are always reported as flags, never asserted.
+The maximal count is read from `curve_model`, never written here.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .curve_model import INFINITY, CurveModel, _level_count, define_curve, is_trace_shaped
+from .curve_model import (INFINITY, CurveModel, _level_count, _maximal_count, define_curve,
+                          is_trace_shaped)
 from .field_tower import ELEMENT, FieldTower, _basis, _echelon
 from .function_field import x_of, y_of
 from .weierstrass import (
@@ -278,6 +280,10 @@ def embedding_check(curve: CurveModel, orders: OrbitTable) -> EmbeddingReport:
     L((q+1)P_inf), so it acts on the embedding by a projectivity over k
     (sigma by conjugation) and image rationality is constant on orbits:
     one evaluation per affine representative, weighted by orbit size.
+    `matches` and `infinity_ok` hold by construction: the coordinates
+    include x and y (y itself, or y^n when n = 1), and `is_rational` is
+    True at INFINITY.  So the section reports counts, not evidence; the
+    Hermitian check of ROADMAP item 6(b) is still to come.
     """
     if curve.family != "hermitian-type":
         raise ValueError("the embedding check supports the trace family only")
@@ -356,11 +362,11 @@ def _kernel_census(tower: FieldTower, table: list[list[int]],
 
 def _maximal_kernels(q: int, p: int, e: int, d: int) -> set[int]:
     """The sizes |ker F & k| that let a monic F of degree m1 = p^e reach the
-    maximal count q^2 + (m1 - 1)(d - 1)q + 1 as 1 + |K|(1 + g*hits), the
-    count of the `curve_model` docstring, g = gcd(d, q^2 - 1) and
-    0 <= hits <= min(q^2/|K| - 1, (q^2 - 1)/g)."""
+    maximal count (`_maximal_count`, genus (m1 - 1)(d - 1)/2) as
+    1 + |K|(1 + g*hits), the count of the `curve_model` docstring,
+    g = gcd(d, q^2 - 1) and 0 <= hits <= min(q^2/|K| - 1, (q^2 - 1)/g)."""
     g = math.gcd(d, q * q - 1)
-    target = q * q + (p ** e - 1) * (d - 1) * q  # the maximal count less 1
+    target = _maximal_count(q, (p ** e - 1) * (d - 1) // 2, 1) - 1
     return {k for k in (p ** j for j in range(e + 1))
             if target % k == 0 and (target // k - 1) % g == 0
             and (target // k - 1) // g <= min(q * q // k - 1, (q * q - 1) // g)}
@@ -377,22 +383,24 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
     a_i is least in its orbit under the rows that fix a_0, ..., a_(i-1),
     and the values allowed at i are kept per (position, fixing rows).
     Representatives come in `itertools.product` order over the lex-sorted
-    field, and the rest are counted as skipped_equivalent.
+    field, and the rest are counted as skipped_equivalent.  The chain stops
+    at each head a_0, ..., a_(e-2) with the allowed a_(e-1), so the work
+    below is done once per head, then a plain loop runs over a_(e-1).
 
     Only candidates whose count is the maximal one are built.  After a
     head a_0, ..., a_(e-2), y in k* is a root of F iff a_(e-1) =
     -(y^m1 + sum over i < e-1 of a_i y^(p^i)) / y^(p^(e-1)), so one pass
     over k* per head gives |ker F & k| for every a_(e-1) (`_kernel_census`).
-    All candidates share one maximal count, which the count identity of the
-    `curve_model` docstring reaches only for some kernel sizes
-    (`_maximal_kernels`); the other candidates are not counted.  F is linear
-    in a_(e-1): with F(b) - a_(e-1) b^(p^(e-1)) tabulated on the basis b of
-    k once per head, a candidate's values F(b) cost 2a `mul` and `add`, and
-    one `_echelon` of them gives the pivots that `_level_count` counts
-    from.  A built curve is a hit when `is_maximal` holds.  The budget
-    still counts q^2 units (one level-2 field scan) per tested candidate,
-    built or not; an exhausted budget yields a partial report with
-    complete=False.
+    All candidates share one maximal count (`_maximal_count`), which the
+    count identity of the `curve_model` docstring reaches only for some
+    kernel sizes (`_maximal_kernels`); the other candidates are not
+    counted.  F is linear in a_(e-1): with F(b) - a_(e-1) b^(p^(e-1))
+    tabulated on the basis b of k once per head, a candidate's values F(b)
+    cost 2a `mul` and `add`, and one `_echelon` of them gives the pivots
+    that `_level_count` counts from.  A built curve is a hit when
+    `is_maximal` holds.  The budget still counts q^2 units (one level-2
+    field scan) per tested candidate, built or not; an exhausted budget
+    yields a partial report with complete=False.
     """
     q = tower.q
     p = tower.p
@@ -407,8 +415,7 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
         raise ValueError("d must be at least 2 and prime to the characteristic")
     level2 = tower.elements(2)
     domains = [level2[1:]] + [level2] * (e - 1)  # level2[0] is 0
-    d_prime = math.gcd(d, q * q - 1)
-    scalers = {tower.pow(z, d_prime) for z in domains[0]}
+    scalers = {tower.pow(z, math.gcd(d, q * q - 1)) for z in domains[0]}
     rows = frozenset(tuple(tower.pow(c, p ** i - m1) for i in range(e)) for c in scalers)
     add, mul = tower.add, tower.mul
     allowed: dict[tuple[int, frozenset], list] = {}
@@ -428,12 +435,13 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
             allowed[key] = out
         return allowed[key]
 
-    def walk(i: int, fixing: frozenset, prefix: tuple[int, ...]):
-        if i == e:
-            yield prefix
+    def heads(i: int, fixing: frozenset, head: tuple[int, ...]):
+        """(head, least(e - 1, ...)) for each walked head a_0, ..., a_(e-2)."""
+        if i == e - 1:
+            yield head, least(i, fixing)
             return
         for v, rest in least(i, fixing):
-            yield from walk(i + 1, rest, prefix + (v,))
+            yield from heads(i + 1, rest, head + (v,))
 
     # -y^(p^i - p^(e-1)) for i < e - 1, then -y^(m1 - p^(e-1)), over k*
     table = [[tower.neg(tower.pow(y, w - p ** (e - 1))) for y in domains[0]]
@@ -441,53 +449,46 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
     # b^(p^i) for i <= e on the basis of k: F(b) = head(b) + a_(e-1) b^(p^(e-1)) + b^m1
     powers = [[tower.pow(b, p ** i) for b in _basis(tower, 2)] for i in range(e + 1)]
     maximal = _maximal_kernels(q, p, e, d)
-    target = q * q + (m1 - 1) * (d - 1) * q + 1
-    head = census = None
+    target = _maximal_count(q, (m1 - 1) * (d - 1) // 2, 1)
     unit_cost = q * q
     tested = 0
-    spent = 0
     reached = (q * q - 1) * q ** (2 * (e - 1))
     complete = True
     hits = []
-    for prefix in walk(0, rows, ()):
-        if spent + unit_cost > budget:
-            complete = False
-            reached = 0  # the product index of prefix
-            for dom, v in zip(domains, prefix):
-                reached = reached * len(dom) + dom.index(v)
+    for head, last in heads(0, rows, ()):
+        census = _kernel_census(tower, table, head)
+        images = powers[e]  # F on the basis, less a_(e-1) b^(p^(e-1))
+        for c, column in zip(head, powers):
+            if c:
+                images = [add(v, mul(c, w)) for v, w in zip(images, column)]
+        for a, _ in last:
+            if (tested + 1) * unit_cost > budget:
+                complete = False
+                reached = 0  # the product index of head + (a,)
+                for dom, v in zip(domains, head + (a,)):
+                    reached = reached * len(dom) + dom.index(v)
+                break
+            tested += 1
+            kernel = 1 + census[a]
+            if kernel not in maximal:
+                continue
+            pivots: dict[int, tuple[int, int]] = {}
+            _echelon(tower, [(add(v, mul(a, w)), 0) for v, w in zip(images, powers[e - 1])],
+                     pivots)
+            if _level_count(tower, pivots, kernel, 2, d) != target:
+                continue
+            curve = define_curve(tower, head + (a, 1), d)
+            if curve.is_maximal:
+                n = _system_n(curve)
+                hits.append(ConjectureHit(
+                    f_coeffs=curve.f_coeffs, genus=curve.genus, count=curve.count(2), n=n,
+                    two_g_matches=2 * curve.genus == (m1 - 1) * q, n_m1_matches=n * m1 == q,
+                ))
+        if not complete:
             break
-        spent += unit_cost
-        tested += 1
-        if prefix[:-1] != head:
-            head = prefix[:-1]
-            census = _kernel_census(tower, table, head)
-            images = powers[e]  # F on the basis, less a_(e-1) b^(p^(e-1))
-            for c, column in zip(head, powers):
-                if c:
-                    images = [add(v, mul(c, w)) for v, w in zip(images, column)]
-        a, kernel = prefix[-1], 1 + census[prefix[-1]]
-        if kernel not in maximal:
-            continue
-        pivots: dict[int, tuple[int, int]] = {}
-        _echelon(tower, [(add(v, mul(a, w)), 0) for v, w in zip(images, powers[e - 1])],
-                 pivots)
-        if _level_count(tower, pivots, kernel, 2, d) != target:
-            continue
-        curve = define_curve(tower, prefix + (1,), d)
-        if curve.is_maximal:
-            n = _system_n(curve)
-            hits.append(ConjectureHit(
-                f_coeffs=prefix + (1,),
-                genus=curve.genus,
-                count=curve.count(2),
-                n=n,
-                two_g_matches=2 * curve.genus == (m1 - 1) * q,
-                n_m1_matches=n * m1 == q,
-            ))
-    skipped = reached - tested
     return ConjectureReport(
-        q=q, m1=m1, d=d, tested=tested, skipped_equivalent=skipped,
-        hits=tuple(hits), complete=complete, budget=budget, spent=spent,
+        q=q, m1=m1, d=d, tested=tested, skipped_equivalent=reached - tested,
+        hits=tuple(hits), complete=complete, budget=budget, spent=tested * unit_cost,
     )
 
 

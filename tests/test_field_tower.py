@@ -121,7 +121,7 @@ def test_frozen_moduli(t2, t3, t16):
 
 
 def test_tower_shape(t5):
-    assert (t5.p, t5.a, t5.q, t5.q2, t5.q4) == (5, 1, 5, 25, 625)
+    assert (t5.p, t5.a, t5.q, t5.q2, t5.order) == (5, 1, 5, 25, 625)
     assert t5.order == 625
     assert t5.degree == 4
 

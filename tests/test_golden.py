@@ -196,7 +196,7 @@ def workflow_commands():
 def test_workflow_console_commands_succeed(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     commands = workflow_commands()
-    assert len(commands) == 10
+    assert len(commands) == 11
     for argv in commands:
         assert cli.main(argv) == 0, argv
         json.loads(capsys.readouterr().out)

@@ -586,8 +586,11 @@ def test_scan_walks_the_orbit_min_representatives(monkeypatch, no_pruning,
     assert seen == [c for _, c in reps[:k]]
     assert rep.tested == k and rep.complete == (limit is None)
     assert rep.skipped_equivalent == (total if limit is None else reps[k][0]) - k
+    # the candidates of the first head; stops at its last and at the next head's first
+    first = sum(1 for _, c in reps if c[:-1] == reps[0][1][:-1])
     for n, extra in ((0, 0), (0, unit - 1), (1, 0), (5, 3), (len(reps) // 2, 0),
-                     (len(reps) - 1, unit - 1)):
+                     (len(reps) - 1, unit - 1), (first - 1, 0), (first - 1, unit - 1),
+                     (first, 0), (first, unit - 1)):
         if n >= len(reps):
             continue
         rep = conjecture_explore(tower, m1, d=d, budget=n * unit + extra)
