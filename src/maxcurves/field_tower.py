@@ -28,7 +28,11 @@ entries, maps each half of the sum back to digits mod p.  The exp
 table is the orbit of 1 under g, built in blocks of q^2 entries: the
 first block one step of c = g at a time, each later block in one pass,
 the block before it times c = g^(q^2).  The log table is the inverse
-permutation.
+permutation, filled block by block.  Both are `array('i')` of 4-byte
+entries, so an ambient order above 2^31 is refused.  The orbit is
+written twice, 2(q^4 - 1) entries: `mul` reads exp[log x + log y] and
+`inv` exp[q^4 - 1 - log x], with no modulo.  With the q^4 entries of
+log that is 12 bytes per element of F_{q^4}.
 
 For p = 2 addition is XOR of the digit vectors and negation is the
 identity.  For odd p addition uses the same radix-(2p - 1) form: `rad`
@@ -60,6 +64,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from array import array
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -303,6 +308,9 @@ class FieldTower:
         if self.order > budget:
             raise BudgetError(
                 f"ambient order p^(4a) = {self.order} exceeds budget {budget}")
+        if self.order > 1 << 31:
+            raise BudgetError(
+                f"ambient order p^(4a) = {self.order} exceeds 2^31, the reach of 4-byte tables")
         self.modulus = self._find_modulus()
         self._build_tables()
         # rev[x] for x < q^2: the 2a residue digits of x in reverse order
@@ -370,16 +378,17 @@ class FieldTower:
         for _ in range(h - 1):
             block += times(lo, hi, block[-1:])
         lo, hi = tables(times(lo, hi, block[-1:])[0])
-        exp = [0] * self.order
-        exp[:h] = block
-        for start in range(h, self.order, h):
-            block = times(lo, hi, block)
-            exp[start:start + h] = block
+        exp, log = array("i"), array("i", [0]) * self.order
+        for start in range(0, self.order, h):
+            if start:
+                block = times(lo, hi, block)
+            exp.fromlist(block)
+            for i, e in enumerate(block, start):
+                log[e] = i
         if exp.pop() != 1:
             raise RuntimeError("generator order mismatch")
-        log = [0] * self.order
-        for i, e in enumerate(exp):
-            log[e] = i
+        log[1] = 0  # the popped g^(q^4 - 1) = 1 wrote q^4 - 1 there
+        exp.extend(exp)  # g^(i+j) is exp[i + j] for logs i, j: no modulo
         self._exp, self._log = exp, log
 
     # -- encoding ----------------------------------------------------------
@@ -472,12 +481,12 @@ class FieldTower:
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
-        return self._exp[(self._log[x] + self._log[y]) % (self.order - 1)]
+        return self._exp[self._log[x] + self._log[y]]
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self._exp[(-self._log[x]) % (self.order - 1)]
+        return self._exp[self.order - 1 - self._log[x]]
 
     def pow(self, x: int, e: int) -> int:
         if x == 0:
@@ -510,7 +519,7 @@ class FieldTower:
         if level in self._level_cache:
             return self._level_cache[level]
         step = (self.order - 1) // (self.level_order(level) - 1)
-        elems = [0] + self._exp[::step]
+        elems = [0, *self._exp[:self.order - 1:step]]
         elems.sort(key=self.lex_rank)
         out = tuple(elems)
         self._level_cache[level] = out

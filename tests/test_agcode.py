@@ -159,11 +159,13 @@ def test_distance_budget(h35, monkeypatch):
 
 
 def test_distance_budget_is_exact(h23, monkeypatch):
+    # the budget counts words, one per message up to scalars: the report's `scanned`
     code = build_code(h23, 3)
-    cost = h23.tower.q2 ** code.dimension * code.length
-    monkeypatch.setattr(agcode, "DISTANCE_BUDGET", cost)
+    monkeypatch.setattr(agcode, "DISTANCE_BUDGET", 1 << 60)
+    scanned = min_distance_exact(code).scanned
+    monkeypatch.setattr(agcode, "DISTANCE_BUDGET", scanned)
     assert min_distance_exact(code).distance == code.d_designed
-    monkeypatch.setattr(agcode, "DISTANCE_BUDGET", cost - 1)
+    monkeypatch.setattr(agcode, "DISTANCE_BUDGET", scanned - 1)
     with pytest.raises(BudgetError):
         min_distance_exact(code)
 

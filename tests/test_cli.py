@@ -16,7 +16,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
-from maxcurves import CurveModel, Point, PrecisionError, cli
+from maxcurves import CurveModel, FieldTower, Point, PrecisionError, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -302,6 +302,18 @@ def test_tower_over_budget_exits_3(capsys):
     # 5^8 = 390625 ambient elements: main stops at the tower build
     rc, out, err = run_cli(capsys, "curve", "--p", "5", "--a", "2",
                            "--hermitian-m", "13", "--budget", "1000")
+    assert rc == 3
+    assert out == ""
+    assert json.loads(err)["kind"] == "budget"
+
+
+def test_tower_beyond_4_byte_tables_exits_3(capsys, monkeypatch):
+    # 2^32 ambient elements: refused whatever --budget says, before any table
+    def no_search(self):
+        raise AssertionError("the modulus search started")
+    monkeypatch.setattr(FieldTower, "_find_modulus", no_search)
+    rc, out, err = run_cli(capsys, "curve", "--p", "2", "--a", "8",
+                           "--hermitian-m", "257", "--budget", "1099511627776")
     assert rc == 3
     assert out == ""
     assert json.loads(err)["kind"] == "budget"

@@ -325,14 +325,45 @@ def raw_tables(tw):
     return exp, {e: i for i, e in enumerate(exp)}
 
 
-@pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2),
-                                 (2, 4), (11, 1)], ids=str)
+TABLE_TOWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 4), (11, 1)]
+
+
+@pytest.mark.parametrize("p,a", TABLE_TOWERS, ids=str)
 def test_tables_match_raw_recurrence(p, a):
     tw = build_tower(p, a)
     exp, log = raw_tables(tw)
-    assert tw._exp == exp
+    assert list(tw._exp[:tw.order - 1]) == exp
     assert len(tw._log) == tw.order
     assert all(tw._log[x] == i for x, i in log.items())
+
+
+@pytest.mark.parametrize("p,a", TABLE_TOWERS, ids=str)
+def test_table_layout_and_edges(p, a):
+    tw = build_tower(p, a)
+    n1 = tw.order - 1
+    # 4-byte entries; the orbit of g written twice, so mul and inv need no modulo
+    assert tw._exp.typecode == tw._log.typecode == "i"
+    assert len(tw._exp) == 2 * n1
+    assert tw._exp[:n1] == tw._exp[n1:]
+    assert len(tw._log) == tw.order
+    g, top = tw.exp(1), tw.exp(n1 - 1)
+    assert 2 * tw.log(top) == 2 * tw.order - 4  # the highest index mul reads
+    assert tw.mul(top, top) == tw._mul_raw(top, top)
+    assert tw.log(1) == 0 and tw.inv(1) == 1  # inv reads index q^4 - 1
+    assert tw.inv(g) == tw._pow_raw(g, tw.order - 2)
+    assert tw._mul_raw(tw.inv(g), g) == 1
+    for x in (g, top, tw.order - 1):
+        x_inv = tw._pow_raw(x, tw.order - 2)
+        for e in (-1, -2, -tw.order - 3):
+            assert tw.pow(x, e) == tw._pow_raw(x_inv, -e)
+        for e in (tw.order, tw.order + 1, 3 * tw.order + 5):
+            assert tw.pow(x, e) == tw._pow_raw(x, e)
+
+
+def test_tables_take_at_most_12_bytes_per_element():
+    tw = build_tower(5, 2)
+    size = sum(t.itemsize * len(t) for t in (tw._exp, tw._log))
+    assert size <= 12 * tw.order
 
 
 # the three largest red tables within the default budget: 9^4, 5^6 and 61^2 entries
@@ -498,6 +529,15 @@ def test_budget_is_enforced_at_construction():
         build_tower(2, 1, budget=8)
     # the boundary itself is allowed
     assert build_tower(2, 1, budget=16).q == 2
+
+
+def test_tables_beyond_4_bytes_are_refused_whatever_the_budget(monkeypatch):
+    # 2^32 elements: refused before the modulus search or any table
+    def no_search(self):
+        raise AssertionError("the modulus search started")
+    monkeypatch.setattr(FieldTower, "_find_modulus", no_search)
+    with pytest.raises(BudgetError, match="2\\^31"):
+        build_tower(2, 8, budget=1 << 40)
 
 
 def test_report_shape(t3):

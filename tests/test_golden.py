@@ -80,6 +80,9 @@ GOLDEN = [
      "18dfc37e2fbf7a09d062e5343a61d653d638a56a30f5652eec3237794d10e3f1"),
     ("code --p 2 --a 3 --hermitian-m 3 --lambda 3 --exact", 0,
      "1e0880ce1916175cb7df88143e12bdb033c437338af8b128a22e45016204f43f"),
+    # 16 276 words, d = 59 = designed: within the distance budget in words
+    ("code --p 5 --a 1 --hermitian-m 3 --lambda 6 --exact", 0,
+     "75da4240d8037d580cf8333489f6acbae754c4e4d91a798e5d1db02d23f4fc71"),
     ("curve --p 3 --a 1 --hermitian-m 2", 0,
      "e76b74876fedcf3a11b3221d6d9074f262227a33740f2bfc4f3c9bf188e37d0c"),
     ("curve --p 3 --a 1 --additive 1,1 --d 7", 0,
