@@ -20,15 +20,20 @@ INSTANCES = (
     ("q3 m4", 3, 1, ("hermitian", 4)),
     ("q5 m2", 5, 1, ("hermitian", 2)),
     ("q5 m3", 5, 1, ("hermitian", 3)),
-    ("q4 d5", 2, 2, ("additive", (1, 1), 5)),
+    ("q4 d5", 2, 2, ("additive", "1,1", 5)),
+    # a*y^5 + b*y = x^3 with a, b != 1, a scaling of y^5 + y = x^3: trace sections run
+    ("q5 tw3", 5, 1, ("additive", "1:0:1:2,0:0:1:2", 3)),
 )
 
 
 def build(p, a, recipe):
+    """The curve of a recipe; additive coefficients are written as for
+    `maxcurves --additive`."""
     tower = build_tower(p, a)
     if recipe[0] == "hermitian":
         return hermitian_curve(tower, recipe[1])
-    return define_curve(tower, recipe[1], recipe[2])
+    return define_curve(tower, [tower.parse_element(c) for c in recipe[1].split(",")],
+                        recipe[2])
 
 
 def cell(section, flag):

@@ -19,9 +19,9 @@ count walks F(level).  `_level_count` is this rule; it reads only the
 pivots and |ker F|, so the conjecture scan counts each candidate from its
 own pivots of F(k) without building a curve.  `_maximal_count` is the
 count that maximality forces over F_{q^(2j)}; `maximality_report`,
-`predicted_count` and the conjecture scan all read it.  The family tagged
-"hermitian-type" is y^q + y = x^m with m dividing q + 1; m = q + 1 gives
-the Hermitian curve itself.
+`predicted_count` and the conjecture scan all read it.  `family` is the one
+trace-family rule, read off the curve: "hermitian-type" marks a model that
+is y^q + y = x^d up to a scaling in k; d = q + 1 gives the Hermitian curve.
 """
 
 from __future__ import annotations
@@ -63,11 +63,10 @@ class MaximalityReport:
 class CurveModel:
     """A curve F(y) = x^d over level 2 of a tower; immutable after construction."""
 
-    def __init__(self, tower: FieldTower, f_coeffs: tuple[int, ...], d: int, family: str):
+    def __init__(self, tower: FieldTower, f_coeffs: tuple[int, ...], d: int):
         self.tower = tower
         self.f_coeffs = f_coeffs
         self.d = d
-        self.family = family
         self.e = len(f_coeffs) - 1
         self.deg_f = tower.p ** self.e
         self.genus = (self.deg_f - 1) * (d - 1) // 2
@@ -155,6 +154,17 @@ class CurveModel:
     @property
     def is_maximal(self) -> bool:
         return self.maximality_report().maximal
+
+    @property
+    def family(self) -> str:
+        """"hermitian-type" when F = a*T^q + b*T (`is_trace_shaped`), d | q + 1,
+        |ker F & k| = q and the curve is maximal, else "additive-general".
+        Maximality forces the kernel clause when d >= 2; at d = 1 (genus 0,
+        always maximal) it keeps out the twists with F bijective on k."""
+        t = self.tower
+        trace = (is_trace_shaped(t, self.f_coeffs) and (t.q + 1) % self.d == 0
+                 and len(self.kernel(2)) == t.q and self.is_maximal)
+        return "hermitian-type" if trace else "additive-general"
 
     def predicted_count(self, j: int) -> int:
         """Point count over F_{q^(2j)} forced by maximality."""
@@ -250,11 +260,7 @@ def define_curve(tower: FieldTower, f_coeffs, d: int) -> CurveModel:
         raise ValueError("d must be >= 1")
     if gcd(d, tower.p) != 1:  # so d is prime to deg F, a power of p
         raise ValueError(f"d = {d} is divisible by the characteristic")
-    family = "additive-general"
-    if (is_trace_shaped(tower, coeffs) and coeffs[0] == coeffs[-1] == 1
-            and (tower.q + 1) % d == 0):
-        family = "hermitian-type"
-    return CurveModel(tower, coeffs, d, family)
+    return CurveModel(tower, coeffs, d)
 
 
 def is_trace_shaped(tower: FieldTower, coeffs: tuple[int, ...]) -> bool:

@@ -14,8 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .curve_model import (INFINITY, CurveModel, _level_count, _maximal_count, define_curve,
-                          is_trace_shaped)
+from .curve_model import INFINITY, CurveModel, _level_count, _maximal_count, define_curve
 from .field_tower import ELEMENT, FieldTower, _basis, _echelon
 from .function_field import x_of, y_of
 from .weierstrass import (
@@ -115,32 +114,23 @@ class NormalizationResult:
 def normalize_model(curve: CurveModel) -> NormalizationResult:
     """Scale a maximal model a*y^q + b*y = x^m to Y^q + Y = X^m.
 
-    The value set F(k) must be xi^(i*m) times the level-1 subfield for
-    some power index i < (q+1)/m.  Then X = xi^(-i)*x and, with
-    u = xi^(-i*m), Y = u*b*y in closed form; `verified` checks
-    Y^q + Y = X^m in the function field.  ValueError unless the curve is
-    trace-shaped and maximal with 2 <= m dividing q + 1.
+    F(k) is an F_q-line (F(c*y) = c*F(y) for c in F_q) of q values, and
+    maximality makes its q - 1 nonzero ones m-th powers, so it is xi^(i*m)
+    times the level-1 subfield for one power index i < (q+1)/m.  Then
+    X = xi^(-i)*x and, with u = xi^(-i*m), Y = u*b*y in closed form;
+    `verified` checks Y^q + Y = X^m in the function field.  ValueError
+    unless the curve's `family` is "hermitian-type" and m >= 2.
     """
     tower = curve.tower
     q = tower.q
     m = curve.d
-    if not is_trace_shaped(tower, curve.f_coeffs):
-        raise ValueError("the model is not trace-shaped: F must be a*T^q + b*T")
-    if m < 2 or (q + 1) % m:
-        raise ValueError("m must divide q + 1 and exceed 1")
-    if not curve.is_maximal:
-        raise ValueError("the model is not maximal; nothing to normalize")
-    n = (q + 1) // m
+    if m < 2 or curve.family != "hermitian-type":
+        raise ValueError(f"normalization needs a hermitian-type model with m >= 2, "
+                         f"not {curve.family} with m = {m}")
     level1 = tower.elements(1)
     image = set(curve.image(2))
-    index = None
-    for i in range(n):
-        scale = tower.pow(tower.xi, i * m)
-        if image == {tower.mul(scale, z) for z in level1}:
-            index = i
-            break
-    if index is None:
-        raise ValueError("the value set of the left side is not a scaled subfield line")
+    index = next(i for i in range((q + 1) // m)
+                 if image == {tower.mul(tower.pow(tower.xi, i * m), z) for z in level1})
     u = tower.pow(tower.xi, -index * m)
     # u*F(y) = u*a*y^q + u*b*y lies in F_q for every y in k.  Its q-th
     # power, with y^(q^2) = y, compares coefficients to (u*b)^q = u*a, so
@@ -186,7 +176,7 @@ def dichotomy_check(curve: CurveModel) -> DichotomyVerdict:
     """Sort a maximal curve into the nm1 = q+1 / nm1 = q branches.
 
     On the first branch the genus identity 2g = (m1-1)(q-1) is a
-    theorem and trace-shaped models are normalized as a witness; on the
+    theorem and hermitian-type models are normalized as a witness; on the
     second, 2g = (m1-1)q is reported as a conjecture flag only.
     """
     if not curve.is_maximal:
@@ -202,7 +192,7 @@ def dichotomy_check(curve: CurveModel) -> DichotomyVerdict:
     if prod == q + 1:
         branch = BRANCH_FULL
         identity_ok = 2 * g == (m1 - 1) * (q - 1)
-        if curve.d == m1 and is_trace_shaped(curve.tower, curve.f_coeffs):
+        if curve.family == "hermitian-type":  # deg F = q, so m1 = d here
             norm = normalize_model(curve)
     elif prod == q:
         branch = BRANCH_CONJ
@@ -518,8 +508,9 @@ def audit(curve: CurveModel) -> AuditReport:
     """Run every identity check on a maximal curve and decide the verdict.
 
     The ramification audit, census and embedding check share one orbit table.
-    The trace-family sections (ramification, embedding) are Skipped
-    with their reason on other curves and then count as passed.  The
+    The trace-family sections (ramification, embedding) run when `family`
+    is "hermitian-type", twisted models a*y^q + b*y = x^m included, and are
+    Skipped with their reason on other curves, counting as passed.  The
     verdict also needs a dichotomy branch, no failed genus identity, a
     verified normalization when one was attempted, and an interval
     classification consistent with n.  The classification runs first,

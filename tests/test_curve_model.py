@@ -1,6 +1,7 @@
 """Point enumeration and maximality against naive double-loop oracles."""
 
 import csv
+import itertools
 import random
 from math import gcd
 from types import SimpleNamespace
@@ -21,6 +22,7 @@ from maxcurves import (
     dichotomy_check,
     hermitian_curve,
     is_trace_shaped,
+    normalize_model,
     order_sequences,
 )
 
@@ -87,7 +89,7 @@ def twisted_trace(t):
 # over q = 9 with d = 2; coefficients run from T up to T^9
 @pytest.mark.parametrize("make,shaped,family", [
     (lambda t: (1, 0, 1), True, "hermitian-type"),
-    (twisted_trace, True, "additive-general"),
+    (twisted_trace, True, "hermitian-type"),
     (lambda t: (1, 1, 1), False, "additive-general"),
     (lambda t: (1, 1), False, "additive-general"),
 ], ids=["a=b=1", "a!=1", "middle-term", "wrong-length"])
@@ -101,6 +103,33 @@ def test_trace_shape(t9, make, shaped, family):
         verdict = dichotomy_check(curve)
         assert verdict.branch == "nm1-equals-q-plus-1"
         assert verdict.normalization.verified
+
+
+@pytest.mark.parametrize("tower", ["t2", "t3", "t4", "t5", "t7", "t8", "t9"])
+def test_family_on_every_trace_model(request, tower):
+    """Every a*y^q + b*y = x^m with a, b in k* and m | q + 1: for m >= 2 the
+    tag, maximality and a verified normalization coincide; at m = 1 (genus 0,
+    always maximal) the tag is |ker F & k| = q.  (q^2 - 1)(q + 1)/m are
+    tagged, a = b = 1 among them for every m."""
+    t = request.getfixturevalue(tower)
+    q = t.q
+    units = [c for c in t.elements(2) if c]
+    for m in [m for m in range(1, q + 2) if (q + 1) % m == 0]:
+        tagged = 0
+        for a, b in itertools.product(units, units):
+            curve = define_curve(t, (b,) + (0,) * (t.a - 1) + (a,), m)
+            tag = curve.family == "hermitian-type"
+            tagged += tag
+            if m == 1:  # F bijective on k stays "additive-general"
+                assert curve.is_maximal and tag == (len(curve.kernel(2)) == q), (a, b)
+            elif tag:
+                assert curve.is_maximal and normalize_model(curve).verified, (a, b, m)
+            else:
+                assert not curve.is_maximal, (a, b, m)
+                with pytest.raises(ValueError):
+                    normalize_model(curve)
+        assert tagged == (q * q - 1) * (q + 1) // m, m
+        assert hermitian_curve(t, m).family == "hermitian-type", m
 
 
 def test_deg_f_and_e(h23, add45, t16):

@@ -41,9 +41,12 @@ GOLDEN = [
      "3bcbbd131dc3ba194f69715e49474cec9b9f223e42b9dafdd927fe40db22cee4"),
     ("audit --p 2 --a 3 --additive 1,0,1 --d 3", 1,
      "0989bbf6c73d0761a4eb5466124187b472aef9600d3d2a7230c1a214ebdca6bf"),
-    # a twisted trace model: normalized with power_index 1 and y_scale != 1
+    # a twisted trace model: normalized with power_index 1 and y_scale != 1,
+    # tagged "hermitian-type", so its ramification and embedding are computed
     ("audit --p 5 --a 1 --additive 1:0:1:2,0:0:1:2 --d 3", 0,
-     "04938ba42620b2d06d9c3dc2770e6de8305cc85666d13d8a34f2e964e7c4091f"),
+     "97a0106388b67efa0b5da2c3be6804952f0b0e107ddf8e86f702a054343d4a11"),
+    ("curve --p 5 --a 1 --additive 1:0:1:2,0:0:1:2 --d 3", 0,
+     "9cb60de458f1af03e22932c2c6a041af015f1abec7d9ddb865806d1712078b2c"),
     ("conjecture --p 2 --a 2 --m1 2", 0,
      "c7d6f439f33609666f649641b7874f3eec39f15506ffe420050161a15f75497b"),
     ("conjecture --p 2 --a 2 --m1 2 --scan-budget 32", 3,
@@ -165,8 +168,8 @@ def test_tower_report_is_unchanged(p, a):
 def test_run_audits_script_is_clean(capsys):
     assert load_script("run_audits").main() == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 7
-    assert lines[-1] == "6/6 instances clean"
+    assert len(lines) == 8
+    assert lines[-1] == "7/7 instances clean"
 
 
 def readme_commands():

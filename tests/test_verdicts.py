@@ -173,22 +173,28 @@ def test_normalization_residual_rejects_a_wrong_scale(t5):
     assert not residual(tower.mul(res.y_scale, tower.xi)).is_zero
 
 
+def refusal(family, m):
+    """The whole text of normalize_model's ValueError."""
+    return (f"^normalization needs a hermitian-type model with m >= 2, "
+            f"not {family} with m = {m}$")
+
+
 def test_normalize_rejects_degenerate_left_side(t3):
-    # -b/a = xi is not a (q-1)-th power, so F is injective on k and the
-    # value set cannot be a scaled subfield line
+    # -b/a = xi is not a (q-1)-th power, so F is injective on k: the model
+    # is neither maximal nor of the trace family
     b = t3.neg(t3.xi)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=refusal("additive-general", 2)):
         normalize_model(trace_model(t3, 1, b, 2))
 
 
 def test_normalize_validation(t3, add45):
     with pytest.raises(ValueError):
         normalize_model(trace_model(t3, 1, 1, 3))  # m does not divide q + 1
-    with pytest.raises(ValueError, match="divide q"):
+    with pytest.raises(ValueError, match=refusal("additive-general", 5)):
         normalize_model(trace_model(t3, 1, 1, 5))  # nor here, past define_curve
-    with pytest.raises(ValueError, match="exceed 1"):
-        normalize_model(trace_model(t3, 1, 1, 1))
-    with pytest.raises(ValueError, match="not trace-shaped"):
+    with pytest.raises(ValueError, match=refusal("hermitian-type", 1)):
+        normalize_model(trace_model(t3, 1, 1, 1))  # the trace family, but m = 1
+    with pytest.raises(ValueError, match=refusal("additive-general", 5)):
         normalize_model(add45)  # maximal, but F = T^2 + T over F_16
     with pytest.raises(ValueError):
         normalize_model(trace_model(t3, 0, 1, 2))
@@ -232,11 +238,13 @@ def test_dichotomy_second_branch_large(t16):
 def _invariants_only(q, genus, deg_f, d):
     """A maximal curve known only by the invariants dichotomy_check reads.
 
-    n and m1 come from the pole orders deg_f and d at infinity; with
-    d != m1 no normalization is attempted, so no field is needed.
+    n and m1 come from the pole orders deg_f and d at infinity.  d does not
+    divide q + 1, so the family is "additive-general" and no normalization
+    is attempted, so no field is needed.
     """
+    assert (q + 1) % d
     return SimpleNamespace(is_maximal=True, tower=SimpleNamespace(q=q),
-                           genus=genus, deg_f=deg_f, d=d)
+                           genus=genus, deg_f=deg_f, d=d, family="additive-general")
 
 
 def test_dichotomy_synthetic_instances(t7):
@@ -373,6 +381,32 @@ def test_audit_sections_and_verdict(h23, add45):
         "the embedding check supports the trace family only")
     with pytest.raises(ValueError):
         audit(define_curve(h23.tower, (1, 1), 7))  # not maximal
+
+
+def test_twisted_audits_match_their_normal_form(t2, t3, t4, t5):
+    # every maximal a*y^q + b*y = x^m (a, b in k*, 2 <= m | q + 1) with q <= 5
+    # is tagged "hermitian-type" and audits as y^q + y = x^m does: the
+    # scaling to it fixes P_inf, keeps L((q+1)P_inf) and keeps rationality
+    sections = ("ramification", "order_census", "embedding", "linear_system",
+                "interval_classification")
+    audited = 0
+    for t in (t2, t3, t4, t5):
+        units = [c for c in t.elements(2) if c]
+        for m in range(2, t.q + 2):
+            if (t.q + 1) % m:
+                continue
+            normal = audit(hermitian_curve(t, m))
+            for a, b in itertools.product(units, units):
+                curve = trace_model(t, a, b, m)
+                if not curve.is_maximal:
+                    continue
+                rep = audit(curve)
+                audited += 1
+                assert curve.family == "hermitian-type" and rep.all_identities, (t, a, b, m)
+                for name in sections:
+                    assert getattr(rep, name) == getattr(normal, name), (t, a, b, m, name)
+                assert isinstance(rep.ramification, Skipped) == (m == t.q + 1), (t, a, b, m)
+    assert audited == 186
 
 
 def test_audit_classifies_the_genus_before_the_orbit_fold(t3, monkeypatch):
