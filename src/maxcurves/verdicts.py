@@ -266,14 +266,14 @@ def embedding_check(curve: CurveModel, orders: OrbitTable) -> EmbeddingReport:
 
     A point has a rational image exactly when all coordinate ratios lie
     in the level-2 field; the infinite place maps to (0 : ... : 0 : 1).
-    Every element of the orbit group G of `order_sequences` keeps
-    L((q+1)P_inf), so it acts on the embedding by a projectivity over k
-    (sigma by conjugation) and image rationality is constant on orbits:
-    one evaluation per affine representative, weighted by orbit size.
-    `matches` and `infinity_ok` hold by construction: the coordinates
-    include x and y (y itself, or y^n when n = 1), and `is_rational` is
-    True at INFINITY.  So the section reports counts, not evidence; the
-    Hermitian check of ROADMAP item 6(b) is still to come.
+    Each entry of `order_sequences` is one rationality class, the points
+    over k or the rest of a class of x, and image rationality follows
+    point rationality (below): one evaluation per affine representative,
+    weighted by the entry's size.  `matches` and `infinity_ok` hold by
+    construction: the coordinates include x and y (y itself, or y^n when
+    n = 1), and `is_rational` is True at INFINITY.  So the section
+    reports counts, not evidence; the Hermitian check of ROADMAP item
+    6(b) is still to come.
     """
     if curve.family != "hermitian-type":
         raise ValueError("the embedding check supports the trace family only")

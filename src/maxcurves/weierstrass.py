@@ -4,28 +4,27 @@ Order sequences are read off as the leading columns of the forward
 elimination of the basis-expansion matrix at a point: they are exactly
 the t-adic valuations attained by the linear system there.
 `order_sequences` returns one table, {representative: (orders, size)},
-one entry per orbit of the group G below.  The ramification audit, the
-order census and the embedding check read each entry once and weight
-it by size; the audit cross-checks the divisor degrees of the system
-cut by L((q+1) * P_infinity) against per-point weights over the full
-point set of a maximal trace-family curve.
+with at most two entries per class of x below.  The ramification audit,
+the order census and the embedding check read each entry once and
+weight it by size; the audit cross-checks the divisor degrees of the
+system cut by L((q+1) * P_infinity) against per-point weights over the
+full point set of a maximal trace-family curve.
 
-G is generated by the q^2-power Frobenius sigma, the translations
-y -> y + kappa with kappa in ker F and in k, and the scalings
-(x, y) -> (alpha * x, alpha^d * y) with alpha in k and alpha^d in
-F_{p^s}, s = gcd(2a, {i > 0 : a_i != 0}), so that
-F(alpha^d * y) = alpha^d * F(y).  The translations and scalings are
-automorphisms fixing P_infinity, so they carry L((q+1) * P_infinity) to
-itself, and sigma conjugates the expansion of every k-rational
-function; so the orders of the system, rationality and x = 0 are
-constant on each orbit (Stohr-Voloch 1986).  Since alpha and kappa lie
-in k, the maps commute, and the orbit of (x, y) is the set of
-(alpha * sigma^e(x), alpha^d * sigma^e(y) + kappa).  `order_sequences`
-lists no points over F_{q^4}: it walks the classes of x under
-x -> alpha * sigma^e(x) and splits the fiber `curve.fiber(x, 4)`,
-y0 + ker F or nothing, over each class representative under the
-stabilizer of x.  The exhaustive map, one `order_sequence` per point,
-survives only as the test oracle.
+The classes of x come from the group G generated by the q^2-power
+Frobenius sigma and the scalings (x, y) -> (alpha * x, alpha^d * y)
+with alpha in k and alpha^d in F_{p^s}, s = gcd(2a, {i > 0 : a_i != 0}),
+so that F(alpha^d * y) = alpha^d * F(y).  The scalings are automorphisms
+fixing P_infinity, so they carry L((q+1) * P_infinity) to itself, and
+sigma conjugates the expansion of every k-rational function; so the
+orders of the system and rationality are constant on orbits
+(Stohr-Voloch 1986).  The orders are moreover constant on each fiber
+y0 + ker F over F_{q^4}: y -> y + kappa, kappa in ker F, fixes x and
+sends x^i y^j to x^i (y + kappa)^j, a unitriangular combination of the
+x^i y^l with l <= j, and the monomials of L((q+1) * P_infinity) form a
+down-set, so the rows at any two points of a fiber span the same space.
+So `order_sequences` makes one `order_sequence` call per class of x
+with points, and splits its points only by rationality.  The exhaustive
+map, one `order_sequence` per point, survives only as the test oracle.
 """
 
 from __future__ import annotations
@@ -100,39 +99,39 @@ def order_sequence(curve: CurveModel, P: Point) -> tuple[int, ...]:
     return tuple(sorted(pivots))
 
 
-def _orbit_group(curve: CurveModel) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """(the pairs (alpha, alpha^d), ker F in k): the scalings and translations of G.
+def _orbit_group(curve: CurveModel) -> tuple[tuple[int, int], ...]:
+    """The pairs (alpha, alpha^d) of the scalings in G (module docstring).
 
     The alpha are the g-th roots of unity, g = gcd(d (p^s - 1), q^2 - 1):
-    exactly the alpha in k with alpha^d in F_{p^s} (module docstring).
+    exactly the alpha in k with alpha^d in F_{p^s}.
     """
     t = curve.tower
     s = math.gcd(2 * t.a, *(i for i, c in enumerate(curve.f_coeffs) if i and c))
     g = math.gcd(curve.d * (t.p ** s - 1), t.q2 - 1)
     alphas = [t.pow(t.xi, (t.q2 - 1) // g * i) for i in range(g)]
-    return tuple((alpha, t.pow(alpha, curve.d)) for alpha in alphas), curve.kernel(2)
+    return tuple((alpha, t.pow(alpha, curve.d)) for alpha in alphas)
 
 
-# {representative: (orders, size)}: one entry per orbit of G (module docstring)
+# {representative: (orders, size)}: per class of x, one entry for its points
+# over k and one for the rest (module docstring)
 OrbitTable = dict[Point, tuple[tuple[int, ...], int]]
 
 
 def order_sequences(curve: CurveModel) -> OrbitTable:
-    """{representative: (orders, size)}, one entry per orbit of G over F_{q^4}.
+    """{representative: (orders, size)} over F_{q^4}, folded by classes of x.
 
     The classes of x != 0 under x -> alpha * sigma^e(x) are, in logs, the
-    residues r mod M = (q^4 - 1)/g under r -> q^2 r; x = 0 is its own
-    class.  A class whose x^d is no value of F has no points, any other
-    the fiber y0 + ker F of `curve.fiber(x, 4)`.  The fiber splits under
-    the translations and the stabilizer of x: all of G at x = 0,
-    y -> beta * sigma(y) with beta = alpha^d, alpha = x^(1 - q^2) when
-    q^2 r = r mod M, and nothing more otherwise.  An orbit's size is the class size times its
-    suborbit's.  RuntimeError is raised when a pair (alpha, beta) is no
-    automorphism, a fiber image is off the curve or in an earlier
-    suborbit, or the sizes do not sum to `count(4)`.
+    residues r mod M = (q^4 - 1)/g under r -> q^2 r, of g or 2g values of
+    x; x = 0 is its own class.  A class whose x^d is no value of F has no
+    points, any other the fiber y0 + ker F of `curve.fiber(x, 4)` over each
+    x, with one order sequence.  Its entries are the points over k, the
+    fiber `curve.fiber(x, 2)` when x is in k, and the rest, each of size
+    the class size times its points over x, kept when nonempty.
+    RuntimeError is raised when a pair (alpha, beta) is no automorphism
+    or the sizes do not sum to `count(4)`.
     """
     t = curve.tower
-    pairs, kernel = _orbit_group(curve)
+    pairs = _orbit_group(curve)
     for alpha, beta in pairs:
         if any(t.pow(alpha, curve.d) != t.pow(beta, t.p ** i)
                for i, c in enumerate(curve.f_coeffs) if c):
@@ -140,31 +139,23 @@ def order_sequences(curve: CurveModel) -> OrbitTable:
                                "automorphism of the curve")
     out = {INFINITY: (order_sequence(curve, INFINITY), 1)}
 
-    def split(x, class_size, stabilizer):
+    def fold(x, class_size):
         fiber = curve.fiber(x, 4)
-        unseen = set(fiber)
-        for y in fiber:
-            if y not in unseen:
-                continue
-            P = Point(x, y)
-            images = {t.add(t.mul(beta, t.frobenius_k(y) if e else y), kappa)
-                      for beta, e in stabilizer for kappa in kernel}
-            if not images <= unseen:
-                raise RuntimeError(f"orbit image y = {min(images - unseen)} of {P} "
-                                   "is not on the curve or lies in an earlier orbit")
-            unseen -= images
-            out[P] = (order_sequence(curve, P), class_size * len(images))
+        if not fiber:
+            return
+        orders = order_sequence(curve, Point(x, fiber[0]))
+        rational = set(curve.fiber(x, 2)) if t.in_level(x, 2) else set()
+        for part in (rational, set(fiber) - rational):
+            if part:
+                out[Point(x, min(part))] = (orders, class_size * len(part))
 
-    g, n1, q2 = len(pairs), t.order - 1, t.q2
-    M = n1 // g
-    scale = dict(pairs)
-    split(0, 1, [(beta, e) for beta in set(scale.values()) for e in (0, 1)])
+    g, q2 = len(pairs), t.q2
+    M = (t.order - 1) // g
+    fold(0, 1)
     for r in range(M):
         r2 = r * q2 % M
-        if r2 > r:  # r is the least of its class
-            split(t.exp(r), 2 * g, [(1, 0)])
-        elif r2 == r:  # alpha * sigma(x) = x
-            split(t.exp(r), g, [(1, 0), (scale[t.exp(r * (1 - q2))], 1)])
+        if r2 >= r:  # r is the least of its class, which has g or 2g values
+            fold(t.exp(r), g if r2 == r else 2 * g)
     total = sum(size for _, size in out.values())
     if total != curve.count(4):
         raise RuntimeError(f"orbit sizes sum to {total}, not the "
@@ -240,7 +231,7 @@ class RamificationReport:
 
 
 def ramification_audit(curve: CurveModel, orders: OrbitTable) -> RamificationReport:
-    """Audit the identities at every point, once per `order_sequences` orbit."""
+    """Audit the identities at every point, once per `order_sequences` entry."""
     info = linear_system_info(curve)
     if curve.family != "hermitian-type":
         raise ValueError("the ramification audit supports the trace family only")
@@ -317,7 +308,7 @@ def order_census(curve: CurveModel, orders: OrbitTable) -> OrderCensus:
 
     The top order is q+1 exactly at rational points and q elsewhere, so
     the Weierstrass locus of the system is the set of rational points.
-    Each orbit of `order_sequences(curve)` is checked once, counted by size.
+    Each entry of `order_sequences(curve)` is checked once, counted by size.
     """
     q = curve.tower.q
     n = _system_n(curve)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from maxcurves import build_tower, cli
+from maxcurves import audit, build_tower, cli, hermitian_curve, to_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -136,6 +136,12 @@ TOWER_REPORTS = {
 }
 
 
+# sha256 of json.dumps([to_json(audit(curve), tower), ...]) over the sweep:
+# every y^q + y = x^m with p^(4a) <= 2^20 and 2 <= m | q + 1, (p, a, m) in
+# increasing order, one tower per (p, a)
+SWEEP_AUDITS = "43989dc84ddee312967202b18636beb69712a00d491bef961451cc2fe55ae2a7"
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
@@ -163,6 +169,22 @@ def test_emitted_points_are_byte_identical(capsys, tmp_path, argv, digest):
 def test_tower_report_is_unchanged(p, a):
     report = json.dumps(build_tower(p, a).report())
     assert hashlib.sha256(report.encode()).hexdigest() == TOWER_REPORTS[p, a]
+
+
+def test_sweep_audits_are_unchanged_and_clean():
+    reports, clean = [], 0
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for a in range(1, 6):
+            if p ** (4 * a) > 2 ** 20:
+                break
+            tower = build_tower(p, a)
+            for m in range(2, tower.q + 2):
+                if (tower.q + 1) % m == 0:
+                    rep = audit(hermitian_curve(tower, m))
+                    clean += rep.all_identities
+                    reports.append(to_json(rep, tower))
+    assert (len(reports), clean) == (64, 64)
+    assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == SWEEP_AUDITS
 
 
 def test_run_audits_script_is_clean(capsys):

@@ -446,7 +446,8 @@ def test_audit_verdict_needs_every_check(h23, monkeypatch, name, spoil):
 
 
 def test_audit_computes_each_order_sequence_once(h35, monkeypatch, check_orbit_table):
-    # one order_sequence per orbit of G: 7 orbits among the 426 points
+    # one order_sequence per class of x with points, and one at P_inf: 7 for
+    # the 426 points, one table entry each
     import maxcurves.verdicts as verdicts
     import maxcurves.weierstrass as weierstrass
     seen = []

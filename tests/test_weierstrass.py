@@ -199,7 +199,10 @@ def _random_additive(tower, d, seed):
     return define_curve(tower, coeffs, d)
 
 
-def test_orbit_fold_matches_exhaustive(request, t3, t4, t5, t7, t8, check_orbit_table):
+@pytest.fixture(scope="module")
+def oracle_curves(request, t3, t4, t5, t7, t8):
+    """21 curves small enough for the per-point oracle; the last four are
+    y^4 + y = x^d over F_64 (d = 3, 7, 9) and y^3 - xi * y = x^8 over F_9."""
     curves = [request.getfixturevalue(name)
               for name in ("h32", "h23", "h43", "h25", "h35", "add45")]
     curves += [hermitian_curve(t7, 4), hermitian_curve(t7, 8)]
@@ -208,38 +211,50 @@ def test_orbit_fold_matches_exhaustive(request, t3, t4, t5, t7, t8, check_orbit_
         curves += [_random_additive(tower, d, seed=10 * tower.q + d) for d in ds]
     # y^4 + y = x^d over F_64: s = 2 lies strictly between 1 and 2a = 6;
     # y^3 - xi * y = x^8 over F_9: ker F = F_3 * y0 with y0^2 = xi a non-square,
-    # so y0 lies outside k, and as every alpha^8 = 1 only sigma joins y0 and -y0
-    extra = [define_curve(t8, (1, 0, 1), d) for d in (3, 7, 9)]
-    extra.append(define_curve(t3, (t3.neg(t3.xi), 1), 8))
-    curves += extra
+    # so y0 lies outside k, and a fiber over k holds rational and other points
+    curves += [define_curve(t8, (1, 0, 1), d) for d in (3, 7, 9)]
+    curves.append(define_curve(t3, (t3.neg(t3.xi), 1), 8))
     assert len(curves) == 21
+    return curves
+
+
+def test_orders_are_constant_on_each_fiber(oracle_curves, exhaustive_orders):
+    # the premise of the fold: every fiber y0 + ker F over F_{q^4} has one
+    # order sequence
+    for curve in oracle_curves:
+        fibers = {}
+        for P, orders in exhaustive_orders(curve).items():
+            if not P.is_infinity:
+                fibers.setdefault(P.x, []).append(orders)
+        kernel = len(curve.kernel(4))
+        assert all(len(seqs) == kernel and len(set(seqs)) == 1
+                   for seqs in fibers.values()), curve
+
+
+def test_orbit_fold_matches_exhaustive(oracle_curves, check_orbit_table):
     sizes = set()
-    for curve in curves:
+    for curve in oracle_curves:
         check_orbit_table(curve, order_sequences(curve))
-        pairs, kernel = weierstrass._orbit_group(curve)
-        sizes.add((len(pairs), len(kernel)))
+        sizes.add((len(weierstrass._orbit_group(curve)), len(curve.kernel(2))))
     assert len({r for r, _ in sizes}) > 2 and len({k for _, k in sizes}) > 2
-    assert {beta for _, beta in weierstrass._orbit_group(extra[-1])[0]} == {1}
-    assert [len(order_sequences(curve)) for curve in extra] == [57, 27, 57, 13]
-
-
-def test_orbit_image_off_the_curve_raises(h35, monkeypatch):
-    roots, kernel = weierstrass._orbit_group(h35)
-    assert h35.f_eval(1) != 0  # 1 is no translation of the curve
-    monkeypatch.setattr(weierstrass, "_orbit_group",
-                        lambda curve: (roots, kernel + (1,)))
-    with pytest.raises(RuntimeError, match="is not on the curve"):
-        order_sequences(h35)
+    extra = oracle_curves[-4:]
+    assert {beta for _, beta in weierstrass._orbit_group(extra[-1])} == {1}
+    assert [len(order_sequences(curve)) for curve in extra] == [57, 27, 57, 8]
+    # the two-entry branch: one x whose rational and other points share orders
+    by_x = {}
+    for P, (orders, _) in order_sequences(extra[-1]).items():
+        by_x.setdefault(P.x, []).append((extra[-1].is_rational(P), orders))
+    assert any(sorted(r for r, _ in entries) == [False, True]
+               and entries[0][1] == entries[1][1] for entries in by_x.values())
 
 
 def test_orbit_scaling_off_the_curve_raises(h35, monkeypatch):
     # all of k* as the alpha: alpha^d leaves F_5 for half of them, so
     # (alpha * x, alpha^d * y) is no automorphism of y^5 + y = x^3
     t = h35.tower
-    _, kernel = weierstrass._orbit_group(h35)
     units = [t.pow(t.xi, i) for i in range(t.q2 - 1)]
-    monkeypatch.setattr(weierstrass, "_orbit_group", lambda curve: (
-        tuple((alpha, t.pow(alpha, curve.d)) for alpha in units), kernel))
+    monkeypatch.setattr(weierstrass, "_orbit_group", lambda curve: tuple(
+        (alpha, t.pow(alpha, curve.d)) for alpha in units))
     with pytest.raises(RuntimeError, match="is not an automorphism"):
         order_sequences(h35)
 
