@@ -8,7 +8,8 @@ computation, 3 a work budget was exhausted (conjecture scans still
 print their partial report).  An internal consistency check that fails
 (say, orbit sizes that miss the point count) also exits 1, with a JSON
 error of kind "identity" on stderr in place of a traceback and nothing
-on stdout.  `main` builds the tower once, passes it to the
+on stdout.  `main` builds the tower the subcommand needs once (top 4 for
+`curve` and `audit`; top 2, k alone, for the rest), passes it to the
 subcommand's handler and adds its report under "tower".
 """
 
@@ -86,14 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--level", type=int, choices=(2, 4), default=2,
                    help="field level for --emit point listings")
     c.add_argument("--emit", default=None, help="write the point list as CSV")
-    c.set_defaults(func=cmd_curve)
+    c.set_defaults(func=cmd_curve, top=4)
 
     au = sub.add_parser("audit", help="run every order-sequence identity check")
     _tower_flags(au)
     _curve_flags(au)
     au.add_argument("--sample-seed", type=int, default=0,
                     help="accepted and ignored: the audit checks every point")
-    au.set_defaults(func=cmd_audit)
+    au.set_defaults(func=cmd_audit, top=4)
 
     co = sub.add_parser("code", help="build an evaluation code")
     _tower_flags(co)
@@ -104,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="compute the exact minimum distance")
     co.add_argument("--emit", default=None, help="write the generator matrix")
     co.add_argument("--format", choices=("csv", "json"), default="csv")
-    co.set_defaults(func=cmd_code)
+    co.set_defaults(func=cmd_code, top=2)
 
     cj = sub.add_parser("conjecture", help="grid-search additive models")
     _tower_flags(cj)
@@ -114,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="x-degree of the searched models (default q + 1)")
     cj.add_argument("--scan-budget", type=_budget, default=SCAN_BUDGET,
                     help="total budget, q^2 units per tested candidate")
-    cj.set_defaults(func=cmd_conjecture)
+    cj.set_defaults(func=cmd_conjecture, top=2)
 
     nm = sub.add_parser("normalize", help="rescale a trace-shaped model")
     _tower_flags(nm)
@@ -123,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     nm.add_argument("--fb", required=True,
                     help="coefficient of y (code or colon-joined residues)")
     nm.add_argument("--m", type=int, required=True, help="x-degree dividing q + 1")
-    nm.set_defaults(func=cmd_normalize)
+    nm.set_defaults(func=cmd_normalize, top=2)
     return top
 
 
@@ -229,7 +230,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     try:
-        tower = build_tower(args.p, args.a, budget=args.budget)
+        tower = build_tower(args.p, args.a, budget=args.budget, top=args.top)
         out, exit_code = args.func(args, tower)
         out["tower"] = tower.report()
     except tuple(ERRORS) as exc:

@@ -9,7 +9,7 @@ reduce to 0 give a basis of ker F.  `fiber(x, level)` reduces (x^d, 0)
 against those pivots; the fiber is empty unless x^d is a value of F.
 Counts build no points.
 On the unit group of a level of order Q, x -> x^d is g-to-1 onto the
-exp[k] with k = 0 mod step, g = gcd(d, Q - 1), step = (q^4 - 1)/(Q - 1)*g,
+exp[k] with k = 0 mod step, g = gcd(d, Q - 1), step = units/(Q - 1)*g,
 so the count is 1 + |ker F| * (1 + g * hits), hits the number of
 z != 0 in F(level) with log z = 0 mod step.  When those powers and 0 form
 a subfield L = F_{p^j}, that is (Q - 1)/g + 1 = p^j, hits + 1 = p^i with
@@ -226,7 +226,7 @@ def _level_count(tower: FieldTower, pivots: dict[int, tuple[int, int]], kernel: 
     inner 1 is x = 0."""
     Q = tower.level_order(level)
     g = gcd(d, Q - 1)
-    step = (tower.order - 1) // (Q - 1) * g
+    step = tower.unit_step(level) * g
     size = (Q - 1) // g + 1  # the d-th powers and 0
     j = 0
     while tower.p ** j < size:

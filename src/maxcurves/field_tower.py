@@ -16,23 +16,31 @@ tables) and the products that seed the tables all use the dense
 straight from the residue polynomials, build the tables and are the
 oracles the tests check them against.
 
-At run time the arithmetic is `add`, `neg`, `mul`, `inv` and `pow`;
-a difference is an `add` of a `neg`, a quotient a `mul` by an `inv`.
-Multiplication goes through discrete-log tables of a generator g of
-the ambient unit group.  An F_p-linear map x -> c*x is tabulated once
-per half of the digit vector as the `_span` of the images c*T^i (one
-`_mul_raw` each): c*x = lo[x % q^2] + hi[x // q^2].  For p = 2 the
-halves combine by XOR.  For odd p their entries hold digits in radix
-2p - 1, so the sum carries nothing, and `red`, a table of (2p - 1)^(2a)
-entries, maps each half of the sum back to digits mod p.  The exp
-table is the orbit of 1 under g, built in blocks of q^2 entries: the
-first block one step of c = g at a time, each later block in one pass,
-the block before it times c = g^(q^2).  The log table is the inverse
-permutation, filled block by block.  Both are `array('i')` of 4-byte
-entries, so an ambient order above 2^31 is refused.  The orbit is
-written twice, 2(q^4 - 1) entries: `mul` reads exp[log x + log y] and
-`inv` exp[q^4 - 1 - log x], with no modulo.  With the q^4 entries of
-log that is 12 bytes per element of F_{q^4}.
+At run time the arithmetic is `add`, `neg`, `mul`, `inv` and `pow`; a
+difference is an `add` of a `neg`, a quotient a `mul` by an `inv`.
+Multiplication goes through discrete-log tables of a generator g of the
+`units` = q^top - 1 units of level `top`: at top 4, the default, g is
+the first code of order q^4 - 1; at top 2 the first norm c^(q^2 + 1) of
+order q^2 - 1.  Codes are ambient in both shapes, so levels, xi and
+reports agree; exp and log values are relative to g and `units`, with no
+base fixed across shapes.  A unit outside k has no log at top 2:
+`in_level` answers for it without arithmetic, `mul`, `inv` and `pow`
+from `_full`, a top-4 tower built on first use.  No command builds it
+(the CLI tests forbid it); perfbench's field timings, on ambient codes,
+do.  An F_p-linear map x -> c*x is tabulated once per half of the digit
+vector as the `_span` of the images c*T^i (one `_mul_raw` each):
+c*x = lo[x % q^2] + hi[x // q^2].  For p = 2 the halves combine by XOR.
+For odd p their entries hold digits in radix 2p - 1, so the sum carries
+nothing, and `red`, a table of (2p - 1)^(2a) entries, maps each half of
+the sum back to digits mod p.  The exp table is the orbit of 1 under g,
+built in blocks of q^2 entries: the first block one step of c = g at a
+time, each later block (top 4) in one pass, the block before it times
+c = g^(q^2).  log, the inverse permutation, is an `array('i')` of q^4
+entries at top 4 and a dict at top 2 (the codes of k are sparse).  exp
+is an `array('i')` of 4-byte entries, so an ambient order above 2^31 is
+refused.  It holds the orbit twice, 2 * units entries: `mul` reads
+exp[log x + log y] and `inv` exp[units - log x], with no modulo.  At
+top 4 that and log take 12 bytes per element of F_{q^4}.
 
 For p = 2 addition is XOR of the digit vectors and negation is the
 identity.  For odd p addition uses the same radix-(2p - 1) form: `rad`
@@ -63,6 +71,7 @@ to every dataclass field marked with ELEMENT metadata.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from array import array
 from bisect import bisect_right
@@ -206,6 +215,7 @@ def _basis(tower: FieldTower, level: int) -> tuple[int, ...]:
     if level == 2:
         return tuple(tower.pow(tower.xi, i) for i in range(2 * tower.a))
     if level == 4:
+        tower.unit_step(4)  # raises on a tower whose tables stop at k
         return tower._digit_powers
     raise ValueError("points are counted and enumerated over levels 2 and 4")
 
@@ -293,7 +303,9 @@ class FieldTower:
     which coincides with the ambient field.
     """
 
-    def __init__(self, p: int, a: int, *, budget: int = DEFAULT_AMBIENT_BUDGET):
+    def __init__(self, p: int, a: int, *, budget: int = DEFAULT_AMBIENT_BUDGET, top: int = 4):
+        if top not in (2, 4):
+            raise ValueError("top must be level 2 or 4")
         if prime_factors(p) != [p]:
             raise ValueError(f"p = {p} is not prime")
         if a < 1:
@@ -304,6 +316,7 @@ class FieldTower:
         self.q2 = self.q ** 2
         self.degree = 4 * a
         self.order = self.q ** 4
+        self.top, self.units = top, self.q ** top - 1  # the tabulated unit group
         self._digit_powers = tuple(p ** i for i in range(self.degree))
         if self.order > budget:
             raise BudgetError(
@@ -345,8 +358,11 @@ class FieldTower:
         return self.element(_poly_powmod(list(self.coeffs(x)), e, list(self.modulus), self.p))
 
     def _build_tables(self) -> None:
-        gen = _first_of_order(self.order - 1, range(2, self.order), self._pow_raw)
         p, h, half = self.p, self.q2, 2 * self.a
+        candidates = range(p, self.order)  # below p: constants, and their norms
+        if self.top == 2:  # the norms c^(q^2 + 1), onto k*
+            candidates = (self._pow_raw(c, h + 1) for c in candidates)
+        gen = _first_of_order(self.units, candidates, self._pow_raw)
         if p == 2:
             self._rad = self._red = self._neg = None
 
@@ -371,15 +387,16 @@ class FieldTower:
                 return halves
             return tuple([rad[x % h] + rad[x // h] * rh for x in t] for t in halves)
 
-        # g^0 .. g^(h-1) one step at a time, then h - 1 blocks of h at once,
-        # each block g^h times the one before; g^(h*h - 1) must be 1
+        # g^0 .. g^(h-1) one step at a time, then (top 4) h - 1 blocks of h at
+        # once, each block g^h times the one before; g^units must be 1
         lo, hi = tables(gen)
         block = [1]
         for _ in range(h - 1):
             block += times(lo, hi, block[-1:])
-        lo, hi = tables(times(lo, hi, block[-1:])[0])
-        exp, log = array("i"), array("i", [0]) * self.order
-        for start in range(0, self.order, h):
+        if self.top == 4:
+            lo, hi = tables(times(lo, hi, block[-1:])[0])
+        exp, log = array("i"), array("i", [0]) * self.order if self.top == 4 else {}
+        for start in range(0, self.units + 1, h):
             if start:
                 block = times(lo, hi, block)
             exp.fromlist(block)
@@ -387,7 +404,7 @@ class FieldTower:
                 log[e] = i
         if exp.pop() != 1:
             raise RuntimeError("generator order mismatch")
-        log[1] = 0  # the popped g^(q^4 - 1) = 1 wrote q^4 - 1 there
+        log[1] = 0  # the popped g^units = 1 wrote units there
         exp.extend(exp)  # g^(i+j) is exp[i + j] for logs i, j: no modulo
         self._exp, self._log = exp, log
 
@@ -476,17 +493,28 @@ class FieldTower:
 
     def exp(self, k: int) -> int:
         """g^k for any integer k."""
-        return self._exp[k % (self.order - 1)]
+        return self._exp[k % self.units]
+
+    @functools.cached_property
+    def _full(self) -> FieldTower:
+        """The top-4 tower of (p, a), built once: top 2 reads it outside k."""
+        return FieldTower(self.p, self.a, budget=self.order)
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
-        return self._exp[self._log[x] + self._log[y]]
+        try:
+            return self._exp[self._log[x] + self._log[y]]
+        except KeyError:  # top 2, a factor outside k
+            return self._full.mul(x, y)
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self._exp[self.order - 1 - self._log[x]]
+        try:
+            return self._exp[self.units - self._log[x]]
+        except KeyError:
+            return self._full.inv(x)
 
     def pow(self, x: int, e: int) -> int:
         if x == 0:
@@ -495,7 +523,10 @@ class FieldTower:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return 0
-        return self._exp[(self._log[x] * e) % (self.order - 1)]
+        try:
+            return self._exp[(self._log[x] * e) % self.units]
+        except KeyError:
+            return self._full.pow(x, e)
 
     # -- tower structure ----------------------------------------------------
 
@@ -504,7 +535,15 @@ class FieldTower:
             raise ValueError(f"level must be one of {LEVELS}")
         return self.q ** level
 
+    def unit_step(self, level: int) -> int:
+        """units/(Q - 1) for a level of order Q: exp[i] lies in it when this divides i."""
+        if self.level_order(level) > self.units + 1:
+            raise ValueError(f"level {level} lies above this tower's tables (top = {self.top})")
+        return self.units // (self.level_order(level) - 1)
+
     def in_level(self, x: int, level: int) -> bool:
+        if self.top == 2 and x and x not in self._log:  # outside k: in F_{q^4} alone
+            return self.level_order(level) == self.order
         return self.pow(x, self.level_order(level)) == x
 
     def subfield_level(self, x: int) -> int:
@@ -518,8 +557,7 @@ class FieldTower:
         """All elements of the given level, sorted lexicographically."""
         if level in self._level_cache:
             return self._level_cache[level]
-        step = (self.order - 1) // (self.level_order(level) - 1)
-        elems = [0, *self._exp[:self.order - 1:step]]
+        elems = [0, *self._exp[:self.units:self.unit_step(level)]]
         elems.sort(key=self.lex_rank)
         out = tuple(elems)
         self._level_cache[level] = out
@@ -544,9 +582,10 @@ class FieldTower:
         return f"FieldTower(p={self.p}, a={self.a}, q={self.q})"
 
 
-def build_tower(p: int, a: int, *, budget: int = DEFAULT_AMBIENT_BUDGET) -> FieldTower:
-    """Construct the deterministic tower for q = p^a."""
-    return FieldTower(p, a, budget=budget)
+def build_tower(p: int, a: int, *, budget: int = DEFAULT_AMBIENT_BUDGET,
+                top: int = 4) -> FieldTower:
+    """The deterministic tower for q = p^a, tabulating level `top`: 4, or 2 for k alone."""
+    return FieldTower(p, a, budget=budget, top=top)
 
 
 def to_json(obj, tower: FieldTower):

@@ -150,7 +150,7 @@ def order_sequences(curve: CurveModel) -> OrbitTable:
                 out[Point(x, min(part))] = (orders, class_size * len(part))
 
     g, q2 = len(pairs), t.q2
-    M = (t.order - 1) // g
+    M = t.units // g
     fold(0, 1)
     for r in range(M):
         r2 = r * q2 % M

@@ -7,6 +7,7 @@ from hypothesis import settings
 import maxcurves.verdicts as verdicts
 
 from maxcurves import (
+    FieldTower,
     build_tower,
     define_curve,
     hermitian_curve,
@@ -16,6 +17,15 @@ from maxcurves import (
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def products_stay_in_k(monkeypatch):
+    """Fail the test if a top-2 tower forms a product outside k: no command does."""
+    def leaves_k(tower):
+        pytest.fail(f"{tower!r} formed a product outside k")
+
+    monkeypatch.setattr(FieldTower, "_full", property(leaves_k))
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,10 @@ try:
 except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
-from maxcurves import CurveModel, FieldTower, Point, PrecisionError, cli
+from maxcurves import CurveModel, FieldTower, Point, PrecisionError, build_tower, cli
+
+# every command stays in the tables of the tower it builds
+pytestmark = pytest.mark.usefixtures("products_stay_in_k")
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -282,6 +285,40 @@ def test_validation_failures_exit_2(capsys, argv):
     assert rc == 2
     assert out == ""
     assert json.loads(err)["kind"] == "validation"
+
+
+@pytest.mark.parametrize("argv,code", [
+    ("normalize --p 3 --a 1 --fa 3 --fb 1 --m 2", 3),
+    ("code --p 2 --a 2 --additive 2,1 --d 5 --lambda 3", 2),
+])
+def test_non_k_coefficient_exits_2_on_the_k_only_tower(capsys, argv, code):
+    rc, out, err = run_cli(capsys, *argv.split())
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": f"coefficient {code} is not in the base field k",
+                               "kind": "validation"}
+
+
+@pytest.mark.parametrize("argv,top", [
+    ("curve --p 2 --a 1 --hermitian-m 3", 4),
+    ("audit --p 2 --a 1 --hermitian-m 3", 4),
+    ("code --p 2 --a 1 --hermitian-m 3 --lambda 3", 2),
+    ("conjecture --p 2 --a 2 --m1 2", 2),
+    ("normalize --p 3 --a 1 --fa 2:0:0:0 --fb 1 --m 2", 2),
+])
+def test_each_subcommand_builds_the_tower_it_needs(capsys, monkeypatch, argv, top):
+    # code, conjecture and normalize stay in k; curve and audit reach F_(q^4)
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(build_tower(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_tower", spy)
+    rc, _ = run_json(capsys, *argv.split())
+    assert rc == 0
+    assert len(built) == 1
+    assert (built[0].top, built[0].units) == (top, built[0].q ** top - 1)
+    assert "_full" not in vars(built[0])  # no product left the tables
 
 
 def test_internal_check_failure_exits_1_with_json_error(capsys, monkeypatch):

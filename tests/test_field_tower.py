@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from maxcurves import ELEMENT, BudgetError, FieldTower, build_tower, to_json
+from maxcurves import ELEMENT, BudgetError, FieldTower, build_tower, hermitian_curve, to_json
 from maxcurves import field_tower
-from maxcurves.field_tower import _is_irreducible_generic, prime_factors
+from maxcurves.field_tower import LEVELS, _basis, _is_irreducible_generic, prime_factors
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +388,9 @@ def test_corrupt_linear_table_fails_the_order_check(monkeypatch, p, a):
 
     span = field_tower._span
     monkeypatch.setattr(field_tower, "_span", rotated)
-    with pytest.raises(RuntimeError, match="generator order mismatch"):
-        build_tower(p, a)
+    for top in (4, 2):
+        with pytest.raises(RuntimeError, match="generator order mismatch"):
+            build_tower(p, a, top=top)
 
 
 def test_span_entries_follow_the_index_contract(t4, t5, t9):
@@ -405,6 +406,107 @@ def test_span_entries_follow_the_index_contract(t4, t5, t9):
                 index, c = divmod(index, tw.p)
                 want = tw._add_raw(want, tw._mul_raw(c, v))
             assert entry == want
+
+
+@pytest.mark.parametrize("p,a", [(3, 1), (7, 1), (11, 1), (2, 2), (3, 2)], ids=str)
+def test_generator_searches_skip_the_constants(monkeypatch, p, a):
+    # codes below p are elements of F_p, never of order q^4 - 1, and their
+    # norms are constants too: neither generator search tries one
+    calls = []
+    raw = FieldTower._pow_raw
+
+    def spy(self, x, e):
+        calls.append((x, e))
+        return raw(self, x, e)
+
+    monkeypatch.setattr(FieldTower, "_pow_raw", spy)
+    build_tower(p, a)
+    assert calls and min(x for x, _ in calls) >= p
+    calls.clear()
+    tw = build_tower(p, a, top=2)
+    norms = [x for x, e in calls if e == tw.q2 + 1]
+    assert norms and min(norms) >= p
+
+
+# ---------------------------------------------------------------------------
+# the k-only shape (top = 2) against the full tower
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p,a", TABLE_TOWERS + [(2, 3), (5, 2), (2, 5)], ids=str)
+def test_k_only_tower_agrees_with_full_tower(p, a):
+    full, tw = build_tower(p, a), build_tower(p, a, top=2)
+    assert (tw.modulus, tw.xi, tw.report()) == (full.modulus, full.xi, full.report())
+    assert tw.elements(1) == full.elements(1)
+    k = tw.elements(2)
+    assert k == full.elements(2)
+    if len(k) <= 256:
+        pairs = itertools.product(k, repeat=2)
+    else:
+        rng = random.Random(len(k))
+        pairs = [(rng.choice(k), rng.choice(k)) for _ in range(20000)]
+    for x, y in pairs:
+        assert tw.add(x, y) == full.add(x, y)
+        assert tw.mul(x, y) == full.mul(x, y)
+    for x in k:
+        assert tw.neg(x) == full.neg(x)
+        for e in (0, 1, 2, tw.q, tw.q2 + 3, -1, -tw.q - 2):
+            if x or e >= 0:
+                assert tw.pow(x, e) == full.pow(x, e)
+        if x:
+            assert tw.inv(x) == full.inv(x)
+
+
+@pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)], ids=str)
+def test_k_only_levels_agree_on_every_ambient_code(p, a):
+    # in_level reads every code, so --additive and --fa reject non-k input
+    full, tw = build_tower(p, a), build_tower(p, a, top=2)
+    for x in range(full.order):
+        assert [tw.in_level(x, lv) for lv in LEVELS] == [full.in_level(x, lv) for lv in LEVELS]
+        assert tw.subfield_level(x) == full.subfield_level(x)
+    assert "_full" not in vars(tw)  # membership needs no product outside k
+
+
+@pytest.mark.parametrize("p,a", [(2, 2), (3, 1), (2, 4)], ids=str)
+def test_k_only_tables_and_refusals(p, a):
+    tw = build_tower(p, a, top=2)
+    units = tw.q2 - 1
+    assert (tw.top, tw.units) == (2, units)
+    assert tw._exp.typecode == "i" and len(tw._exp) == 2 * units
+    assert tw._exp[:units] == tw._exp[units:]
+    assert sorted(tw._log) == sorted(tw.elements(2)[1:])
+    curve = hermitian_curve(tw, tw.q + 1)
+    assert curve.count(2) == tw.q ** 3 + 1
+    for above in (lambda: tw.elements(4), lambda: _basis(tw, 4),
+                  lambda: curve.fiber(1, 4), lambda: curve.count(4)):
+        with pytest.raises(ValueError, match="above this tower's tables"):
+            above()
+    with pytest.raises(ValueError, match="top must be"):
+        build_tower(p, a, top=3)
+
+
+@pytest.mark.parametrize("p,a", [(2, 2), (3, 1), (5, 1)], ids=str)
+def test_k_only_products_outside_k_come_from_the_full_tower(p, a):
+    # a unit outside k has no log; mul, inv and pow build the full tower
+    # once and answer from it, never from the k tables
+    full, tw = build_tower(p, a), build_tower(p, a, top=2)
+    for x in tw.elements(2):
+        for y in tw.elements(2):
+            tw.mul(x, y)
+        if x:
+            tw.inv(x)
+        tw.pow(x, tw.q + 2)
+    assert "_full" not in vars(tw)
+    outside = [x for x in range(1, tw.order) if not full.in_level(x, 2)]
+    with pytest.raises(KeyError):
+        tw.log(outside[0])
+    rng = random.Random(p ** a)
+    for x in outside:
+        y = rng.randrange(tw.order)
+        assert tw.mul(x, y) == tw.mul(y, x) == full.mul(x, y) == tw._mul_raw(x, y)
+        assert tw.inv(x) == full.inv(x)
+        assert tw.pow(x, -3) == full.pow(x, -3)
+    assert vars(tw)["_full"].top == 4
+    assert tw._full is vars(tw)["_full"]  # built once
 
 
 # p = 7 fills its fields tightest (H = 8), a = 3 packs 6 coordinates a symbol

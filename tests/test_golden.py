@@ -18,6 +18,9 @@ import pytest
 
 from maxcurves import audit, build_tower, cli, hermitian_curve, to_json
 
+# every command stays in the tables of the tower it builds
+pytestmark = pytest.mark.usefixtures("products_stay_in_k")
+
 ROOT = Path(__file__).resolve().parent.parent
 
 GOLDEN = [
@@ -86,6 +89,9 @@ GOLDEN = [
     # 16 276 words, d = 59 = designed: within the distance budget in words
     ("code --p 5 --a 1 --hermitian-m 3 --lambda 6 --exact", 0,
      "75da4240d8037d580cf8333489f6acbae754c4e4d91a798e5d1db02d23f4fc71"),
+    # q = 32: k alone is tabulated, 2^10 units in place of 2^20
+    ("code --p 2 --a 5 --hermitian-m 3 --lambda 2", 0,
+     "b1a520817773ca9bae44178656093c445f4005b76639860ca24c789909ad59e0"),
     ("curve --p 3 --a 1 --hermitian-m 2", 0,
      "e76b74876fedcf3a11b3221d6d9074f262227a33740f2bfc4f3c9bf188e37d0c"),
     ("curve --p 3 --a 1 --additive 1,1 --d 7", 0,
