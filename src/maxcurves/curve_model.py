@@ -16,9 +16,10 @@ a subfield L = F_{p^j}, that is (Q - 1)/g + 1 = p^j, hits + 1 = p^i with
 i the number of the basis vectors 1, eta, ..., eta^(j-1) of L,
 eta = exp[step], that reduce to 0 against the pivots of F; otherwise the
 count walks F(level).  `_level_count` is this rule; it reads only the
-pivots and |ker F|, so the conjecture scan counts each candidate from its
-own pivots of F(k) without building a curve.  `_maximal_count` is the
-count that maximality forces over F_{q^(2j)}; `maximality_report`,
+pivots and |ker F|, so the conjecture scan's walk branch counts a candidate
+from its own pivots of F(k), building no curve; its subfield branch counts
+by duality (`verdicts.conjecture_explore`).  `_maximal_count` is the count
+that maximality forces over F_{q^(2j)}; `maximality_report`,
 `predicted_count` and the conjecture scan all read it.  `family` is the one
 trace-family rule, read off the curve: "hermitian-type" marks a model that
 is y^q + y = x^d up to a scaling in k; d = q + 1 gives the Hermitian curve.

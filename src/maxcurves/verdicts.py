@@ -340,14 +340,22 @@ class ConjectureReport:
 
 def _kernel_census(tower: FieldTower, table: list[list[int]],
                    head: tuple[int, ...]) -> Counter:
-    """|ker F & k| - 1 for each a_(e-1) of the monic F with a_0, ..., a_(e-2)
-    = head: the y in k* with a_(e-1) = table[-1][y] + sum a_i table[i][y]."""
+    """A census of a_(e-1) over a table: for each a_(e-1), the columns y with
+    a_(e-1) = table[-1][y] + sum a_i table[i][y], a_i the head.  Over k*, it
+    is |ker F & k| - 1 of the monic F with a_0, ..., a_(e-2) = head."""
     add, mul = tower.add, tower.mul
     roots = table[-1]
     for a, ratios in zip(head, table):
         if a:
             roots = [add(c, mul(a, r)) for c, r in zip(roots, ratios)]
     return Counter(roots)
+
+
+def _scan_count(tower: FieldTower, d: int, kernel: int, image: int | dict) -> int:
+    """count(2) of a scanned F: kernel = |ker F & k|, image = |F(k) & L| or F(k)'s pivots."""
+    if isinstance(image, dict):
+        return _level_count(tower, image, kernel, 2, d)
+    return 1 + kernel * (1 + math.gcd(d, tower.q2 - 1) * (image - 1))
 
 
 def _maximal_kernels(q: int, p: int, e: int, d: int) -> set[int]:
@@ -380,17 +388,26 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
     Only candidates whose count is the maximal one are built.  After a
     head a_0, ..., a_(e-2), y in k* is a root of F iff a_(e-1) =
     -(y^m1 + sum over i < e-1 of a_i y^(p^i)) / y^(p^(e-1)), so one pass
-    over k* per head gives |ker F & k| for every a_(e-1) (`_kernel_census`).
-    All candidates share one maximal count (`_maximal_count`), which the
-    count identity of the `curve_model` docstring reaches only for some
-    kernel sizes (`_maximal_kernels`); the other candidates are not
-    counted.  F is linear in a_(e-1): with F(b) - a_(e-1) b^(p^(e-1))
-    tabulated on the basis b of k once per head, a candidate's values F(b)
-    cost 2a `mul` and `add`, and one `_echelon` of them gives the pivots
-    that `_level_count` counts from.  A built curve is a hit when
-    `is_maximal` holds.  The budget still counts q^2 units (one level-2
-    field scan) per tested candidate, built or not; an exhausted budget
-    yields a partial report with complete=False.
+    over k* per head gives K = |ker F & k| for every a_(e-1) (`_kernel_census`).
+    The maximal count (`_maximal_count`) is 1 + K(1 + g*hits), the count of
+    the `curve_model` docstring, only for some K (`_maximal_kernels`); the
+    other candidates are not counted, the rest by `_scan_count`.  When the
+    d-th powers and 0 form L = F_{p^j}, hits + 1 = |F(k) & L|.  Under the
+    trace form Tr_{k/F_p}(xy), F(k)^perp = ker F* for the adjoint F*(y) =
+    sum (a_i y)^(p^-i), L^perp = ker Tr_{k/L} (of dimension 2a - j), and
+    (F(k) & L)^perp is their sum; as dim ker F* = dim ker F, |F(k) & L| =
+    p^j |ker F* & ker Tr_{k/L}| / K.  For y != 0, F*(y)^(p^(e-1)) = 0 reads
+    a_(e-1) = -y^(p^(2a-1) - 1) - sum over i < e-1 of a_i^(p^(e-1-i))
+    y^(p^(e-1-i) - 1): a second census per head, over the y != 0 of
+    ker Tr_{k/L} = {z^(p^j) - z} with the head twisted, gives dual =
+    |ker F* & ker Tr_{k/L}| - 1, so hits = p^j (1 + dual)/K - 1 with no
+    elimination.  Otherwise F is linear in a_(e-1): with
+    F(b) - a_(e-1) b^(p^(e-1)) tabulated on the basis b of k once per head,
+    a candidate's values F(b) cost 2a `mul` and `add`, and one `_echelon`
+    of them gives the pivots that `_level_count` reads.  A built curve is a
+    hit when `is_maximal` holds.  The budget still counts q^2 units (one
+    level-2 field scan) per tested candidate, built or not; an exhausted
+    budget yields a partial report with complete=False.
     """
     q = tower.q
     p = tower.p
@@ -436,6 +453,13 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
     # -y^(p^i - p^(e-1)) for i < e - 1, then -y^(m1 - p^(e-1)), over k*
     table = [[tower.neg(tower.pow(y, w - p ** (e - 1))) for y in domains[0]]
              for w in [p ** i for i in range(e - 1)] + [m1]]
+    # L = F_(p^j), the d-th powers and 0, or j = 0 when they form no subfield
+    j = next((j for j in range(1, 2 * tower.a + 1) if p ** j == len(scalers) + 1), 0)
+    twists = [p ** (e - 1 - i) for i in range(e - 1)]  # a_i^(p^(e-1-i)) in F*^(p^(e-1))
+    # -y^(w - 1) for w in twists, then -y^(q^2/p - 1), over ker Tr_{k/L} less 0
+    trace0 = {add(tower.pow(z, p ** j), tower.neg(z)) for z in level2} - {0} if j else ()
+    dual_table = [[tower.neg(tower.pow(y, w - 1)) for y in trace0]
+                  for w in twists + [q * q // p]]
     # b^(p^i) for i <= e on the basis of k: F(b) = head(b) + a_(e-1) b^(p^(e-1)) + b^m1
     powers = [[tower.pow(b, p ** i) for b in _basis(tower, 2)] for i in range(e + 1)]
     maximal = _maximal_kernels(q, p, e, d)
@@ -447,10 +471,13 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
     hits = []
     for head, last in heads(0, rows, ()):
         census = _kernel_census(tower, table, head)
-        images = powers[e]  # F on the basis, less a_(e-1) b^(p^(e-1))
-        for c, column in zip(head, powers):
-            if c:
-                images = [add(v, mul(c, w)) for v, w in zip(images, column)]
+        if j:
+            dual = _kernel_census(tower, dual_table, tuple(map(tower.pow, head, twists)))
+        else:
+            images = powers[e]  # F on the basis, less a_(e-1) b^(p^(e-1))
+            for c, column in zip(head, powers):
+                if c:
+                    images = [add(v, mul(c, w)) for v, w in zip(images, column)]
         for a, _ in last:
             if (tested + 1) * unit_cost > budget:
                 complete = False
@@ -462,10 +489,11 @@ def conjecture_explore(tower: FieldTower, m1: int, d: int | None = None,
             kernel = 1 + census[a]
             if kernel not in maximal:
                 continue
-            pivots: dict[int, tuple[int, int]] = {}
-            _echelon(tower, [(add(v, mul(a, w)), 0) for v, w in zip(images, powers[e - 1])],
-                     pivots)
-            if _level_count(tower, pivots, kernel, 2, d) != target:
+            image = p ** j * (1 + dual[a]) // kernel if j else {}  # |F(k) & L|
+            if not j:  # the pivots of F(k)
+                _echelon(tower, [(add(v, mul(a, w)), 0)
+                                 for v, w in zip(images, powers[e - 1])], image)
+            if _scan_count(tower, d, kernel, image) != target:
                 continue
             curve = define_curve(tower, head + (a, 1), d)
             if curve.is_maximal:

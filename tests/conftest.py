@@ -120,8 +120,9 @@ def nonmax(t3):
 @pytest.fixture
 def no_pruning(monkeypatch):
     """The conjecture scan with both of its rules off: every kernel size
-    admits the maximal count, and every candidate's image count is taken to
-    be that count, so every walked candidate is built and counted."""
+    admits the maximal count, and every candidate's count (`_scan_count`,
+    on either branch) is taken to be that count, so every walked candidate
+    is built and counted."""
     maximal = []
 
     def every_kernel(q, p, e, d):
@@ -129,7 +130,7 @@ def no_pruning(monkeypatch):
         return {p ** j for j in range(e + 1)}
 
     monkeypatch.setattr(verdicts, "_maximal_kernels", every_kernel)
-    monkeypatch.setattr(verdicts, "_level_count", lambda *args: maximal[0])
+    monkeypatch.setattr(verdicts, "_scan_count", lambda *args: maximal[0])
 
 
 # ---------------------------------------------------------------------------

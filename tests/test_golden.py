@@ -71,6 +71,12 @@ GOLDEN = [
     # (q^2 - 1)/g + 1 = 17 is no power of 3: count(2) walks the image
     ("conjecture --p 3 --a 2 --m1 3 --d 5", 0,
      "39aa9890e51083a3bc6ae8cb93a30f1b6c4c34ac66545f9e68b868c232ef316b"),
+    # full subfield scans past the default budget: L = F_32 with 5 hits,
+    # and odd p with [k : L] = 2
+    ("conjecture --p 2 --a 5 --m1 4 --scan-budget 1073741824", 0,
+     "fe1c542d083a15aa8ed2faaae3e4c4d8d38a8807882b6cba3472820e52a112cd"),
+    ("conjecture --p 3 --a 3 --m1 9 --scan-budget 1073741824", 0,
+     "10aec899ccba1e458a78a93b2d60050377c3dfbbd8047dcf6754cc5ea7591d8f"),
     ("normalize --p 5 --a 1 --fa 2 --fb 3 --m 3", 0,
      "c911ad05a3e1017bd8e5fb23281ac33bb5453cdd6a3265d3e794d2b5ec630029"),
     ("code --p 2 --a 1 --hermitian-m 3 --lambda 3 --exact", 0,

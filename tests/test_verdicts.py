@@ -33,7 +33,6 @@ from maxcurves import (
     x_of,
     y_of,
 )
-from maxcurves.curve_model import _level_count
 from maxcurves.weierstrass import semigroup_gaps
 
 
@@ -643,8 +642,10 @@ def test_kernel_census_matches_the_elimination(monkeypatch, no_pruning,
     walked = []
 
     def census(tower, table, head):
-        censuses[head] = kernel_census(tower, table, head)
-        return censuses[head]
+        counts = kernel_census(tower, table, head)
+        if len(table[0]) == tower.q ** 2 - 1:  # over k*, not the subfield branch's dual table
+            censuses[head] = counts
+        return counts
 
     def record(tower, coeffs, d):
         walked.append(coeffs)
@@ -713,35 +714,95 @@ def test_kernel_rule_cuts_the_curves_built(monkeypatch, t8, t16):
         assert built == [hit.f_coeffs for hit in rep.hits]
 
 
+def scan_counts(monkeypatch, tower, m1, d, budget=verdicts.SCAN_BUDGET):
+    """(the scan's count, candidate) for every candidate that reaches
+    `_scan_count`; each is then built, as if its count were the maximal one."""
+    q, counts, built = tower.q, [], []
+    scan_count = verdicts._scan_count
+
+    def count(*args):
+        counts.append(scan_count(*args))
+        return q * q + (m1 - 1) * (d - 1) * q + 1
+
+    def record(tower, coeffs, d):
+        built.append(coeffs)
+        return SimpleNamespace(is_maximal=False)
+
+    with monkeypatch.context() as m:
+        m.setattr(verdicts, "_scan_count", count)
+        m.setattr(verdicts, "define_curve", record)
+        conjecture_explore(tower, m1, d=d, budget=budget)
+    assert len(counts) == len(built), (tower, m1, d)
+    return list(zip(counts, built))
+
+
+def is_subfield_scan(p, a, d):
+    q = p ** a
+    size = (q * q - 1) // math.gcd(d, q * q - 1) + 1  # the d-th powers and 0
+    return size in {p ** j for j in range(2 * a + 1)}
+
+
 def test_image_count_matches_the_curve_count(monkeypatch):
     # every candidate that the kernel rule admits is built here, and the
-    # scan's count from F's image must be the built curve's count(2)
+    # scan's count, by duality or from F's pivots, must be count(2)
     branches = set()
     cases = list(scan_grid()) + [(2, 4, 2, 17)]
     towers = {(p, a): build_tower(p, a) for p, a, _, _ in cases}
     for p, a, e, d in cases:
-        tower, q = towers[p, a], p ** a
-        counts, built = [], []
-
-        def image_count(tower, pivots, kernel, level, d):
-            counts.append(_level_count(tower, pivots, kernel, level, d))
-            return q * q + (p ** e - 1) * (d - 1) * q + 1
-
-        def record(tower, coeffs, d):
-            built.append(coeffs)
-            return SimpleNamespace(is_maximal=False)
-
-        with monkeypatch.context() as m:
-            m.setattr(verdicts, "_level_count", image_count)
-            m.setattr(verdicts, "define_curve", record)
-            conjecture_explore(tower, p ** e, d=d)
-        assert len(counts) == len(built), (p, a, e, d)
-        for n, coeffs in zip(counts, built):
+        tower = towers[p, a]
+        counted = scan_counts(monkeypatch, tower, p ** e, d)
+        for n, coeffs in counted:
             assert n == define_curve(tower, coeffs, d).count(2), (p, a, e, d, coeffs)
-        if built:
-            size = (q * q - 1) // math.gcd(d, q * q - 1) + 1  # the d-th powers and 0
-            branches.add(size in {p ** j for j in range(2 * a + 1)})
-    assert branches == {True, False}  # subfield rank and image walk
+        if counted:
+            branches.add(is_subfield_scan(p, a, d))
+    assert branches == {True, False}  # subfield duality and pivot walk
+
+
+# (p, a, m1, d, candidates): L = F_q, F_p, F_(q^2) and, at q = 8 and 16, F_4;
+# e = 1, 2 and 3; the (2, 3, 8) scans stop after 2000 candidates
+SUBFIELD_CASES = [(2, 2, 2, 5, None), (2, 2, 4, 15, None), (2, 2, 4, 7, None),
+                  (3, 1, 3, 4, None), (5, 1, 5, 6, None), (7, 1, 7, 8, None),
+                  (3, 2, 9, 10, None), (3, 2, 3, 40, None), (2, 3, 4, 21, None),
+                  (2, 4, 4, 17, None), (2, 4, 4, 85, None), (5, 2, 5, 26, None),
+                  (2, 3, 8, 9, 2000), (2, 3, 8, 63, 2000), (2, 3, 8, 5, 2000)]
+
+
+@pytest.mark.parametrize("p,a,m1,d,limit", SUBFIELD_CASES, ids=str)
+def test_dual_count_matches_the_curve_count_on_every_candidate(monkeypatch, p, a, m1, d,
+                                                               limit):
+    # with the kernel rule off, every walked candidate is counted by duality
+    monkeypatch.setattr(verdicts, "_maximal_kernels",
+                        lambda q, p, e, d: {p ** j for j in range(e + 1)})
+    tower = build_tower(p, a)
+    assert is_subfield_scan(p, a, d)
+    budget = verdicts.SCAN_BUDGET if limit is None else limit * tower.q ** 2
+    counted = scan_counts(monkeypatch, tower, m1, d, budget)
+    assert len(counted) == conjecture_explore(tower, m1, d=d, budget=budget).tested
+    for n, coeffs in counted:
+        assert n == define_curve(tower, coeffs, d).count(2), coeffs
+
+
+@pytest.mark.parametrize("p,a,m1,d,subfield", [(2, 4, 4, 17, True), (3, 2, 9, 10, True),
+                                               (2, 3, 4, 3, False)], ids=str)
+def test_subfield_scan_runs_no_elimination_per_candidate(monkeypatch, p, a, m1, d, subfield):
+    calls = []
+
+    def spy(name):
+        real = getattr(verdicts, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(verdicts, name, wrapped)
+
+    tower = build_tower(p, a)
+    assert is_subfield_scan(p, a, d) == subfield
+    counted = len(scan_counts(monkeypatch, tower, m1, d))  # the kernel rule admits these
+    spy("_echelon")
+    spy("_level_count")
+    rep = conjecture_explore(tower, m1, d=d)  # a built curve eliminates in curve_model
+    assert rep.tested > counted > len(rep.hits)
+    assert calls == ([] if subfield else ["_echelon", "_level_count"] * counted)
 
 
 def test_conjecture_scan_validation(t4):
