@@ -9,7 +9,8 @@ print their partial report).  An internal consistency check that fails
 (say, orbit sizes that miss the point count) also exits 1, with a JSON
 error of kind "identity" on stderr in place of a traceback and nothing
 on stdout.  `main` builds the tower the subcommand needs once (top 4 for
-`curve` and `audit`; top 2, k alone, for the rest), passes it to the
+`audit` and for `curve --level 4 --emit`, which list F_(q^4); top 2, k
+alone, for the rest, `curve`'s level-4 count included), passes it to the
 subcommand's handler and adds its report under "tower".
 """
 
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--level", type=int, choices=(2, 4), default=2,
                    help="field level for --emit point listings")
     c.add_argument("--emit", default=None, help="write the point list as CSV")
-    c.set_defaults(func=cmd_curve, top=4)
+    c.set_defaults(func=cmd_curve, top=2)
 
     au = sub.add_parser("audit", help="run every order-sequence identity check")
     _tower_flags(au)
@@ -230,7 +231,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     try:
-        tower = build_tower(args.p, args.a, budget=args.budget, top=args.top)
+        top = 4 if getattr(args, "level", 2) == 4 and args.emit else args.top
+        tower = build_tower(args.p, args.a, budget=args.budget, top=top)
         out, exit_code = args.func(args, tower)
         out["tower"] = tower.report()
     except tuple(ERRORS) as exc:

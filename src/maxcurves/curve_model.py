@@ -15,11 +15,17 @@ z != 0 in F(level) with log z = 0 mod step.  When those powers and 0 form
 a subfield L = F_{p^j}, that is (Q - 1)/g + 1 = p^j, hits + 1 = p^i with
 i the number of the basis vectors 1, eta, ..., eta^(j-1) of L,
 eta = exp[step], that reduce to 0 against the pivots of F; otherwise the
-count walks F(level).  `_level_count` is this rule; it reads only the
-pivots and |ker F|, so the conjecture scan's walk branch counts a candidate
-from its own pivots of F(k), building no curve; its subfield branch counts
-by duality (`verdicts.conjecture_explore`).  `_maximal_count` is the count
-that maximality forces over F_{q^(2j)}; `maximality_report`,
+count walks F(level).  A level above the tower's tables (level 4 on a
+tower of k alone) has no logs: F is evaluated on its basis by
+`_mul_raw` and `_pow_raw`, the g-th powers are the `_orbit` of
+eta = G^g, G the first unit of order Q - 1, and the walk runs over that
+orbit: z is in F(level) when its `_remainder` against the pivots, an
+F_p-linear map read by `_linear`, is 0.  `_level_count` is this rule;
+it reads only the pivots and |ker F|, so the conjecture scan's walk
+branch counts a candidate from its own pivots of F(k), building no
+curve; its subfield branch counts by duality
+(`verdicts.conjecture_explore`).  `_maximal_count` is the count that
+maximality forces over F_{q^(2j)}; `maximality_report`,
 `predicted_count` and the conjecture scan all read it.  `family` is the one
 trace-family rule, read off the curve: "hermitian-type" marks a model that
 is y^q + y = x^d up to a scaling in k; d = q + 1 gives the Hermitian curve.
@@ -31,7 +37,7 @@ import csv
 from dataclasses import dataclass
 from math import gcd
 
-from .field_tower import FieldTower, _basis, _echelon, _span
+from .field_tower import FieldTower, _basis, _echelon, _linear, _orbit, _remainder, _span
 
 
 @dataclass(frozen=True)
@@ -77,14 +83,17 @@ class CurveModel:
 
     # -- defining polynomial -------------------------------------------------
 
-    def f_eval(self, y: int) -> int:
+    def f_eval(self, y: int, raw: bool = False) -> int:
+        """F(y); raw takes products from the residue polynomials, for a y
+        above the tables."""
         t = self.tower
+        mul, pow_ = (t._mul_raw, t._pow_raw) if raw else (t.mul, t.pow)
         acc = 0
         w = y
         for c in self.f_coeffs:
             if c:
-                acc = t.add(acc, t.mul(c, w))
-            w = t.pow(w, t.p)
+                acc = t.add(acc, mul(c, w))
+            w = pow_(w, t.p)
         return acc
 
     def on_curve(self, P: Point) -> bool:
@@ -98,8 +107,10 @@ class CurveModel:
         """(pivots, ker F) on the level from one `_echelon` pass, once per level."""
         if level not in self._echelons:
             t = self.tower
+            raw = t.level_order(level) > t.units + 1  # above the tables
             pivots: dict[int, tuple[int, int]] = {}
-            basis = _echelon(t, [(self.f_eval(b), b) for b in _basis(t, level)], pivots)
+            basis = _echelon(t, [(self.f_eval(b, raw=True) if raw else self.f_eval(b), b)
+                                 for b in _basis(t, level)], pivots)
             self._echelons[level] = (pivots, tuple(_span(t, basis)))
         return self._echelons[level]
 
@@ -223,20 +234,25 @@ def _level_count(tower: FieldTower, pivots: dict[int, tuple[int, int]], kernel: 
                  level: int, d: int) -> int:
     """The points of F(y) = x^d over the level, from kernel = |ker F| and
     pivots whose values span F(level): 1 + kernel * (1 + g * hits), hits by
-    the subfield rank or by a walk of the span (module docstring); the
-    inner 1 is x = 0."""
+    the subfield rank or by a walk, of the span or, above the tables, of
+    the g-th powers (module docstring); the inner 1 is x = 0."""
     Q = tower.level_order(level)
     g = gcd(d, Q - 1)
-    step = tower.unit_step(level) * g
     size = (Q - 1) // g + 1  # the d-th powers and 0
     j = 0
     while tower.p ** j < size:
         j += 1
+    above = Q - 1 > tower.units  # then the d-th powers are the orbit of G^g
+    step = None if above else tower.unit_step(level) * g
+    eta = tower._pow_raw(tower._generator(), g) if above else tower.exp(step)
     if tower.p ** j == size:
-        eta = tower.exp(step)
+        powers = next(_orbit(tower, eta, j)) if above else [tower.pow(eta, i) for i in range(j)]
         # the basis vectors of L that reduce to 0 span F(level) & L
-        shared = _echelon(tower, [(tower.pow(eta, i), 0) for i in range(j)], dict(pivots))
+        shared = _echelon(tower, [(z, 0) for z in powers], dict(pivots))
         hits = tower.p ** len(shared) - 1
+    elif above:  # z is in F(level) when its `_remainder` is 0
+        rem = _linear(tower, [_remainder(tower, b, pivots) for b in _basis(tower, level)])
+        hits = sum(rem(block).count(0) for block in _orbit(tower, eta, size - 1))
     else:
         hits = sum(1 for z in _span(tower, [v for v, _ in pivots.values()])
                    if z and tower.log(z) % step == 0)

@@ -20,40 +20,49 @@ At run time the arithmetic is `add`, `neg`, `mul`, `inv` and `pow`; a
 difference is an `add` of a `neg`, a quotient a `mul` by an `inv`.
 Multiplication goes through discrete-log tables of a generator g of the
 `units` = q^top - 1 units of level `top`: at top 4, the default, g is
-the first code of order q^4 - 1; at top 2 the first norm c^(q^2 + 1) of
-order q^2 - 1.  Codes are ambient in both shapes, so levels, xi and
-reports agree; exp and log values are relative to g and `units`, with no
-base fixed across shapes.  A unit outside k has no log at top 2:
-`in_level` answers for it without arithmetic, `mul`, `inv` and `pow`
-from `_full`, a top-4 tower built on first use.  No command builds it
-(the CLI tests forbid it); perfbench's field timings, on ambient codes,
-do.  An F_p-linear map x -> c*x is tabulated once per half of the digit
-vector as the `_span` of the images c*T^i (one `_mul_raw` each):
-c*x = lo[x % q^2] + hi[x // q^2].  For p = 2 the halves combine by XOR.
+the first code of order q^4 - 1 (`_generator`); at top 2 the first norm
+c^(q^2 + 1) of order q^2 - 1.  Codes are ambient in both shapes, so
+levels, xi and reports agree; exp and log values are relative to g and
+`units`, with no base fixed across shapes.  A unit outside k has no log
+at top 2: `in_level` answers for it without arithmetic, `mul`, `inv` and
+`pow` from `_full`, a top-4 tower built on first use.  No command builds
+it (the CLI tests forbid it); perfbench's field timings, on ambient
+codes, do.  What the commands ask of F_{q^4} at top 2 takes no table
+product: `add`, `scale`, `_echelon` and `_remainder` work on the digits
+of any code, and `_orbit` walks the powers of any unit.
+
+`_linear` applies an F_p-linear map, given by its images of the digit
+basis T^i, to a list of codes.  It tabulates the map once per half of
+the digit vector as the `_span` of that half's images:
+L(x) = lo[x % q^2] + hi[x // q^2].  For p = 2 the halves combine by XOR.
 For odd p their entries hold digits in radix 2p - 1, so the sum carries
 nothing, and `red`, a table of (2p - 1)^(2a) entries, maps each half of
-the sum back to digits mod p.  The exp table is the orbit of 1 under g,
-built in blocks of q^2 entries: the first block one step of c = g at a
-time, each later block (top 4) in one pass, the block before it times
-c = g^(q^2).  log, the inverse permutation, is an `array('i')` of q^4
-entries at top 4 and a dict at top 2 (the codes of k are sparse).  exp
-is an `array('i')` of 4-byte entries, so an ambient order above 2^31 is
-refused.  It holds the orbit twice, 2 * units entries: `mul` reads
+the sum back to digits mod p.  `_orbit` steps by x -> c*x, the `_linear`
+map of the images c*T^i (one `_mul_raw` each), and yields 1, c, c^2,
+... in blocks of q^2 entries: the first block one step of c at a time,
+each later block in one pass, the block before it times c^(q^2).  The
+exp table is the orbit of g; log, the inverse permutation, is an
+`array('i')` of q^4 entries at top 4 and a dict at top 2 (the codes of
+k are sparse).  exp is an `array('i')` of 4-byte entries, so an ambient
+order above 2^31 is refused.  It holds the orbit twice, 2 * units entries: `mul` reads
 exp[log x + log y] and `inv` exp[units - log x], with no modulo.  At
 top 4 that and log take 12 bytes per element of F_{q^4}.
 
 For p = 2 addition is XOR of the digit vectors and negation is the
 identity.  For odd p addition uses the same radix-(2p - 1) form: `rad`
 writes a half code (q^2 entries) in radix 2p - 1, so a half of x + y
-is red[rad[x half] + rad[y half]], and negation is one table of q^2
-entries applied to each half.  Every table but exp and log has at most
-(2p - 1)^(2a) entries and stays in cache.  The digit loops `_add_raw`
-and `_neg_raw` are the oracles for both.
+is red[rad[x half] + rad[y half]]; `scale` by an F_p constant c applies
+one table of q^2 entries per c to each half, and `neg` is c = p - 1.
+Every table but exp and log has at most (2p - 1)^(2a) entries, or q^2
+per constant, and stays in cache.  The digit loops `_add_raw` and
+`_neg_raw` are the oracles for `add` and `neg`.
 
 The F_p-linear helpers over codes live here, the one module that reads
 digit positions: `_span` (entry sum(c_i p^i) is sum(c_i v_i), on `add`),
 `_basis` of levels 2 and 4 and `_echelon` by the top digit (both read
-the digit powers p^i, built once per tower), and `_packed_words`:
+the digit powers p^i, built once per tower; `_echelon` scales rows by
+F_p constants), `_remainder` against `_echelon` pivots, `_linear`,
+`_orbit`, and `_packed_words`:
 `pack`, whole-word `add` and `weight` on words over k held in one int,
 each symbol's coordinates on the level-2 basis in bit fields.
 
@@ -215,7 +224,6 @@ def _basis(tower: FieldTower, level: int) -> tuple[int, ...]:
     if level == 2:
         return tuple(tower.pow(tower.xi, i) for i in range(2 * tower.a))
     if level == 4:
-        tower.unit_step(4)  # raises on a tower whose tables stop at k
         return tower._digit_powers
     raise ValueError("points are counted and enumerated over levels 2 and 4")
 
@@ -268,11 +276,11 @@ def _echelon(tower: FieldTower, pairs, pivots: dict[int, tuple[int, int]]) -> li
     digit there, equal to 1.  Each row operation acts on both halves, so a
     pair (F(b), b) stays one; a pair whose value reduces to 0 returns its
     second half, and any other becomes a new pivot.  A step adds the pivot
-    scaled by -lead, whose code is the digit p - lead; a new pivot is
-    scaled by the `inv` of its lead.
+    scaled by -lead, the F_p constant p - lead; a new pivot by the inverse
+    of its lead.  Both are `scale`s, so no product leaves the tables.
     """
     p, powers = tower.p, tower._digit_powers
-    add, mul = tower.add, tower.mul
+    add, scale = tower.add, tower.scale
     kernel = []
     for v, b in pairs:
         while v:
@@ -281,18 +289,63 @@ def _echelon(tower: FieldTower, pairs, pivots: dict[int, tuple[int, int]]) -> li
             pivot = pivots.get(top)
             if pivot is None:
                 if lead != 1:
-                    inv = tower.inv(lead)
-                    v, b = mul(inv, v), mul(inv, b)
+                    inv = pow(lead, -1, p)
+                    v, b = scale(inv, v), scale(inv, b)
                 pivots[top] = (v, b)
                 break
             pv, pb = pivot
             f = p - lead
             if f != 1:  # p = 2: f is 1
-                pv, pb = mul(f, pv), mul(f, pb)
+                pv, pb = scale(f, pv), scale(f, pb)
             v, b = add(v, pv), add(b, pb)
         else:
             kernel.append(b)
     return kernel
+
+
+def _linear(tower: FieldTower, images):
+    """The F_p-linear map T^i -> images[i] on a list of codes, one table a
+    half of the digit vector (module docstring); `redh` is red times q^2."""
+    p, h, half = tower.p, tower.q2, 2 * tower.a
+    lo, hi = _span(tower, images[:half]), _span(tower, images[half:])
+    if p == 2:
+        return lambda xs: [lo[x & (h - 1)] ^ hi[x >> half] for x in xs]
+    rad, red, rh = tower._rad, tower._red, (2 * p - 1) ** half
+    redh = [v * h for v in red]
+    lo, hi = ([rad[x % h] + rad[x // h] * rh for x in t] for t in (lo, hi))
+    return lambda xs: [red[(s := lo[x % h] + hi[x // h]) % rh] + redh[s // rh] for x in xs]
+
+
+def _orbit(tower: FieldTower, c: int, n: int):
+    """1, c, ..., c^(n-1) for a unit c, yielded in lists of q^2 (the last
+    may be shorter): the first list one step of c at a time, each later
+    one in one pass, the list before it times c^(q^2).  A step is the
+    `_linear` map of the images c*T^i, one `_mul_raw` each."""
+    p, h = tower.p, tower.q2
+
+    def step(c):
+        return _linear(tower, [tower._mul_raw(p ** i, c) for i in range(tower.degree)])
+
+    times, block = step(c), [1]
+    for _ in range(min(h, n) - 1):
+        block += times(block[-1:])
+    yield block
+    if n > h:
+        times = step(times(block[-1:])[0])
+        for start in range(h, n, h):
+            block = times(block[:n - start])
+            yield block
+
+
+def _remainder(tower: FieldTower, v: int, pivots: dict[int, tuple[int, int]]) -> int:
+    """v less the combination of `_echelon` pivot values that clears each
+    pivot's top digit: F_p-linear in v, and 0 exactly on their span."""
+    p, powers = tower.p, tower._digit_powers
+    for top in sorted(pivots, reverse=True):
+        lead = v // powers[top] % p
+        if lead:
+            v = tower.add(v, tower.scale(p - lead, pivots[top][0]))
+    return v
 
 
 class FieldTower:
@@ -359,54 +412,33 @@ class FieldTower:
 
     def _build_tables(self) -> None:
         p, h, half = self.p, self.q2, 2 * self.a
-        candidates = range(p, self.order)  # below p: constants, and their norms
-        if self.top == 2:  # the norms c^(q^2 + 1), onto k*
-            candidates = (self._pow_raw(c, h + 1) for c in candidates)
-        gen = _first_of_order(self.units, candidates, self._pow_raw)
         if p == 2:
-            self._rad = self._red = self._neg = None
-
-            def times(lo, hi, xs):
-                return [lo[x % h] ^ hi[x // h] for x in xs]
-        else:
+            self._rad = self._red = self._scale = None
+        else:  # set before `_orbit`, whose spans use `add`
             radix = 2 * p - 1
-            # set before the first `tables` call, whose spans use `add`
-            self._rad = rad = _digit_table(range(p), radix, half)
-            self._red = red = _digit_table([s % p for s in range(radix)], p, half)
-            self._neg = _digit_table([-c % p for c in range(p)], p, half)
-            rh = radix ** half
-
-            def times(lo, hi, xs):
-                return [red[s % rh] + red[s // rh] * h
-                        for s in [lo[x % h] + hi[x // h] for x in xs]]
-
-        def tables(c):  # the halves of x -> c*x, entries in radix form for odd p
-            images = [self._mul_raw(p ** i, c) for i in range(self.degree)]
-            halves = _span(self, images[:half]), _span(self, images[half:])
-            if p == 2:
-                return halves
-            return tuple([rad[x % h] + rad[x // h] * rh for x in t] for t in halves)
-
-        # g^0 .. g^(h-1) one step at a time, then (top 4) h - 1 blocks of h at
-        # once, each block g^h times the one before; g^units must be 1
-        lo, hi = tables(gen)
-        block = [1]
-        for _ in range(h - 1):
-            block += times(lo, hi, block[-1:])
+            self._rad = _digit_table(range(p), radix, half)
+            self._red = _digit_table([s % p for s in range(radix)], p, half)
+            self._scale = [_digit_table([c * s % p for s in range(p)], p, half)
+                           for c in range(p)]
         if self.top == 4:
-            lo, hi = tables(times(lo, hi, block[-1:])[0])
+            gen = self._generator()
+        else:  # the first norm c^(q^2 + 1) of order q^2 - 1, onto k*
+            norms = (self._pow_raw(c, h + 1) for c in range(p, self.order))
+            gen = _first_of_order(self.units, norms, self._pow_raw)
         exp, log = array("i"), array("i", [0]) * self.order if self.top == 4 else {}
-        for start in range(0, self.units + 1, h):
-            if start:
-                block = times(lo, hi, block)
+        for start, block in zip(range(0, self.units + 1, h), _orbit(self, gen, self.units + 1)):
             exp.fromlist(block)
             for i, e in enumerate(block, start):
                 log[e] = i
-        if exp.pop() != 1:
+        if exp.pop() != 1:  # g^units, the last entry
             raise RuntimeError("generator order mismatch")
         log[1] = 0  # the popped g^units = 1 wrote units there
         exp.extend(exp)  # g^(i+j) is exp[i + j] for logs i, j: no modulo
         self._exp, self._log = exp, log
+
+    def _generator(self) -> int:
+        """The first code of order q^4 - 1 (below p: constants), g at top 4."""
+        return _first_of_order(self.order - 1, range(self.p, self.order), self._pow_raw)
 
     # -- encoding ----------------------------------------------------------
 
@@ -463,8 +495,15 @@ class FieldTower:
     def neg(self, x: int) -> int:
         if self.p == 2:
             return x
-        h, neg = self.q2, self._neg
+        h, neg = self.q2, self._scale[-1]
         return neg[x % h] + neg[x // h] * h
+
+    def scale(self, c: int, x: int) -> int:
+        """c*x for an F_p constant c, digit by digit: `neg` is c = p - 1."""
+        if self.p == 2:
+            return x if c % 2 else 0
+        h, t = self.q2, self._scale[c % self.p]
+        return t[x % h] + t[x // h] * h
 
     def _add_raw(self, x: int, y: int) -> int:
         """Digit-by-digit sum, the oracle for `add` (half tables or XOR)."""

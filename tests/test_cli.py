@@ -299,14 +299,19 @@ def test_non_k_coefficient_exits_2_on_the_k_only_tower(capsys, argv, code):
 
 
 @pytest.mark.parametrize("argv,top", [
-    ("curve --p 2 --a 1 --hermitian-m 3", 4),
+    ("curve --p 2 --a 1 --hermitian-m 3", 2),
+    ("curve --p 2 --a 1 --hermitian-m 3 --level 4", 2),
+    ("curve --p 2 --a 1 --hermitian-m 3 --emit pts.csv", 2),
+    ("curve --p 2 --a 1 --hermitian-m 3 --level 4 --emit pts.csv", 4),
     ("audit --p 2 --a 1 --hermitian-m 3", 4),
     ("code --p 2 --a 1 --hermitian-m 3 --lambda 3", 2),
     ("conjecture --p 2 --a 2 --m1 2", 2),
     ("normalize --p 3 --a 1 --fa 2:0:0:0 --fb 1 --m 2", 2),
 ])
-def test_each_subcommand_builds_the_tower_it_needs(capsys, monkeypatch, argv, top):
-    # code, conjecture and normalize stay in k; curve and audit reach F_(q^4)
+def test_each_subcommand_builds_the_tower_it_needs(capsys, monkeypatch, tmp_path, argv, top):
+    # audit and the level-4 point listing reach F_(q^4); code, conjecture,
+    # normalize and the rest of curve (its level-4 count too) stay in k
+    monkeypatch.chdir(tmp_path)
     built = []
 
     def spy(*args, **kwargs):

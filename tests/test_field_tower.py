@@ -4,13 +4,22 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from maxcurves import ELEMENT, BudgetError, FieldTower, build_tower, hermitian_curve, to_json
+from maxcurves import (
+    ELEMENT,
+    BudgetError,
+    FieldTower,
+    build_tower,
+    define_curve,
+    hermitian_curve,
+    to_json,
+)
 from maxcurves import field_tower
-from maxcurves.field_tower import LEVELS, _basis, _is_irreducible_generic, prime_factors
+from maxcurves.field_tower import LEVELS, _basis, _is_irreducible_generic, _orbit, prime_factors
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +485,102 @@ def test_k_only_tables_and_refusals(p, a):
     assert sorted(tw._log) == sorted(tw.elements(2)[1:])
     curve = hermitian_curve(tw, tw.q + 1)
     assert curve.count(2) == tw.q ** 3 + 1
-    for above in (lambda: tw.elements(4), lambda: _basis(tw, 4),
-                  lambda: curve.fiber(1, 4), lambda: curve.count(4)):
+    # level 4 is eliminated and counted with no table above k; listing
+    # F_(q^4) is refused
+    full = hermitian_curve(build_tower(p, a), tw.q + 1)
+    assert _basis(tw, 4) == _basis(full.tower, 4)
+    assert curve.count(4) == full.count(4)
+    assert curve.fiber(1, 4) == full.fiber(1, 4)
+    assert "_full" not in vars(tw)
+    for above in (tw.elements, curve.enumerate_points):
         with pytest.raises(ValueError, match="above this tower's tables"):
-            above()
+            above(4)
     with pytest.raises(ValueError, match="top must be"):
         build_tower(p, a, top=3)
+
+
+def seeded_additive_curves(tw, rng):
+    """(coeffs, d) on k for each branch of the level-4 count: g = 1 for
+    d = 1 and the first coprime d > 1 (L = F_(q^4)), d = q^2 + 1 (L = k),
+    d = q^3 + q^2 + q + 1 (L = F_q), and walks of the orbit for d = q + 1
+    and the first d > 1 whose d-th powers and 0 are no subfield."""
+    q, Q, p = tw.q, tw.order, tw.p
+    coprime = next(d for d in itertools.count(2) if gcd(d, p * (Q - 1)) == 1)
+    walk = next(d for d in itertools.count(2)
+                if d % p and not is_power(p, (Q - 1) // gcd(d, Q - 1) + 1))
+    ds = [1, coprime, q * q + 1, q ** 3 + q * q + q + 1, q + 1, walk]
+    k = tw.elements(2)
+    out = []
+    for d in ds:
+        e = rng.randrange(1, 3)
+        coeffs = [rng.choice(k[1:])] + [rng.choice(k) for _ in range(e - 1)] + [rng.choice(k[1:])]
+        out.append((tuple(coeffs), d))
+    return out
+
+
+def is_power(p, n):
+    """True when n is a power of p."""
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+@pytest.mark.parametrize("p,a", TABLE_TOWERS + [(2, 3), (5, 2), (2, 5)], ids=str)
+def test_k_only_quartic_counts_agree_with_full_tower(p, a):
+    # count(4) on the k-only tower (elimination by raw products, the orbit
+    # of G^g in place of logs) against the log count of the top-4 tower
+    full, tw = build_tower(p, a), build_tower(p, a, top=2)
+    curves = [((1,) + (0,) * (a - 1) + (1,), m) for m in range(1, tw.q + 2) if (tw.q + 1) % m == 0]
+    curves += seeded_additive_curves(tw, random.Random(p ** a))
+    # each branch: L = F_(q^4), L = k and a walk; size is |L| on the first two
+    sizes = {(tw.order - 1) // gcd(d, tw.order - 1) + 1 for _, d in curves}
+    assert {tw.order, tw.q2} <= sizes and not all(is_power(p, n) for n in sizes)
+    for coeffs, d in curves:
+        assert define_curve(tw, coeffs, d).count(4) == define_curve(full, coeffs, d).count(4), \
+            (coeffs, d)
+    assert "_full" not in vars(tw)
+
+
+@pytest.mark.parametrize("p,a,c", [(2, 2, 7), (3, 1, 5), (2, 3, 300), (5, 1, 17)], ids=str)
+def test_orbit_matches_raw_powers(p, a, c):
+    # blocks of q^2: below one block, exactly one, one past it, and a
+    # partial last block; c is ambient, outside k, on the k-only tower
+    tw = build_tower(p, a, top=2)
+    h = tw.q2
+    assert c not in tw._log
+    for n in (1, 2, h - 1, h, h + 1, 2 * h, 3 * h + 5):
+        blocks = list(_orbit(tw, c, n))
+        assert [len(b) for b in blocks] == [min(h, n - s) for s in range(0, n, h)]
+        assert [x for b in blocks for x in b] == [tw._pow_raw(c, i) for i in range(n)], n
+    assert "_full" not in vars(tw)
+
+
+@pytest.mark.parametrize("p,a", [(2, 2), (3, 1), (5, 1), (3, 2)], ids=str)
+def test_remainder_is_zero_exactly_on_the_image(p, a):
+    # the remainder against the pivots of F on F_(q^4), through `_linear`
+    # on every code, vanishes on F(F_(q^4)) alone; F of degree p and q
+    tw = build_tower(p, a, top=2)
+    for coeffs in ((1, 1), (1,) + (0,) * (a - 1) + (1,), (tw.xi, 0, 1)):
+        curve = define_curve(tw, coeffs, 1)
+        pivots = curve._eliminate(4)[0]
+        rem = field_tower._linear(tw, [field_tower._remainder(tw, b, pivots)
+                                        for b in _basis(tw, 4)])
+        image = set(curve.image(4))
+        assert [x for x, r in enumerate(rem(range(tw.order))) if r == 0] == sorted(image)
+        assert len(image) * len(curve.kernel(4)) == tw.order
+    assert "_full" not in vars(tw)
+
+
+@pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)], ids=str)
+def test_scale_matches_digit_loop_on_every_code(p, a):
+    tw = build_tower(p, a, top=2)
+
+    def scale_raw(c, x):
+        return tw.element([c * r % p for r in tw.coeffs(x)])
+
+    for c in range(p):
+        assert all(tw.scale(c, x) == scale_raw(c, x) for x in range(tw.order)), c
+    assert "_full" not in vars(tw)
 
 
 @pytest.mark.parametrize("p,a", [(2, 2), (3, 1), (5, 1)], ids=str)

@@ -114,6 +114,12 @@ GOLDEN = [
      "b9bd6d3dd95f9dc797c614b9378dda28d5a42e9224cdd48fe3d07ec38cf67a95"),
     ("curve --p 3 --a 3 --hermitian-m 4", 0,
      "0e346d86e847043e0307c2f48c5f10987db7165f1c97038a34807e2839721b23"),
+    # level 4 on a k-only tower: odd p with the subfield branch L = k
+    # (d = q^2 + 1, quartic 6400), and p = 2 with quartic 8193
+    ("curve --p 3 --a 2 --additive 1,1 --d 82", 0,
+     "6c6b4ba3aa7050030b1a3a7744a593c6da995a32bb51020259576fcd2edadbe8"),
+    ("curve --p 2 --a 3 --additive 1,1 --d 65", 0,
+     "cd4a580429380e71a3f6b55ae7e73b72589c46b46f6e028bd22bf6b8c92e7fd4"),
 ]
 
 # sha256 of the CSV that `curve ... --emit` writes: the point listings
