@@ -17,10 +17,14 @@ i the number of the basis vectors 1, eta, ..., eta^(j-1) of L,
 eta = exp[step], that reduce to 0 against the pivots of F; otherwise the
 count walks F(level).  A level above the tower's tables (level 4 on a
 tower of k alone) has no logs: F is evaluated on its basis by
-`_mul_raw` and `_pow_raw`, the g-th powers are the `_orbit` of
-eta = G^g, G the first unit of order Q - 1, and the walk runs over that
-orbit: z is in F(level) when its `_remainder` against the pivots, an
-F_p-linear map read by `_linear`, is 0.  `_level_count` is this rule;
+`_mul_raw` and `_pow_raw`, the g-th powers are D, the `_orbit` of
+eta = G^g, G the first unit of order Q - 1, and the walk runs over D/H:
+F(c*y) = c*F(y) for c in L = F_(p^s), s = `scalar_degree(level)`, so
+F(level) is an L-space and F(level) & D a union of cosets of
+H = D & L*, |H| = gcd(|D|, p^s - 1).  hits is |H| times the number of
+eta^i, i < |D|/|H|, in F(level): z is in it when its `_remainder`
+against the pivots, an F_p-linear map read by `_linear`, is 0.  So the
+walk takes (Q - 1)/(g*|H|) orbit steps.  `_level_count` is this rule;
 it reads only the pivots and |ker F|, so the conjecture scan's walk
 branch counts a candidate from its own pivots of F(k), building no
 curve; its subfield branch counts by duality
@@ -153,7 +157,13 @@ class CurveModel:
     def _count(self, level: int) -> int:
         """`_level_count` from this curve's elimination of the level."""
         pivots, kernel = self._eliminate(level)
-        return _level_count(self.tower, pivots, len(kernel), level, self.d)
+        return _level_count(self.tower, pivots, len(kernel), level, self.d,
+                            self.scalar_degree(level))
+
+    def scalar_degree(self, level: int) -> int:
+        """s = gcd(a * level, i > 0 with a_i != 0): F(c*y) = c*F(y) for every
+        c in F_(p^s), the largest such subfield of the level."""
+        return gcd(self.tower.a * level, *(i for i, c in enumerate(self.f_coeffs) if i and c))
 
     # -- maximality --------------------------------------------------------------
 
@@ -231,11 +241,12 @@ def _maximal_count(q: int, genus: int, j: int) -> int:
 
 
 def _level_count(tower: FieldTower, pivots: dict[int, tuple[int, int]], kernel: int,
-                 level: int, d: int) -> int:
+                 level: int, d: int, s: int = 1) -> int:
     """The points of F(y) = x^d over the level, from kernel = |ker F| and
     pivots whose values span F(level): 1 + kernel * (1 + g * hits), hits by
     the subfield rank or by a walk, of the span or, above the tables, of
-    the g-th powers (module docstring); the inner 1 is x = 0."""
+    one g-th power per coset of H = D & F_(p^s)*, for F(c*y) = c*F(y) on
+    F_(p^s) (module docstring; s = 1 always holds); the inner 1 is x = 0."""
     Q = tower.level_order(level)
     g = gcd(d, Q - 1)
     size = (Q - 1) // g + 1  # the d-th powers and 0
@@ -252,7 +263,8 @@ def _level_count(tower: FieldTower, pivots: dict[int, tuple[int, int]], kernel: 
         hits = tower.p ** len(shared) - 1
     elif above:  # z is in F(level) when its `_remainder` is 0
         rem = _linear(tower, [_remainder(tower, b, pivots) for b in _basis(tower, level)])
-        hits = sum(rem(block).count(0) for block in _orbit(tower, eta, size - 1))
+        h = gcd(size - 1, tower.p ** s - 1)  # |H|; eta^i, i < (size - 1)/h, meet each coset once
+        hits = h * sum(rem(block).count(0) for block in _orbit(tower, eta, (size - 1) // h))
     else:
         hits = sum(1 for z in _span(tower, [v for v, _ in pivots.values()])
                    if z and tower.log(z) % step == 0)

@@ -9,12 +9,14 @@ the distinguished generator of F_{q^2}* are both chosen as the
 lexicographically first candidates, so two towers built from the same
 (p, a) are identical object for object.
 
-Construction takes one path for every p: the modulus search, the
-generator search (`_first_of_order`, which later finds xi from the
-tables) and the products that seed the tables all use the dense
-`_poly_*` arithmetic over F_p.  `_mul_raw` and `_pow_raw`, the products
-straight from the residue polynomials, build the tables and are the
-oracles the tests check them against.
+Construction takes one path for every p.  A residue polynomial is one
+int of b-bit fields (`_kronecker`): a product is one int multiply, each
+field taken mod p (`& ones` for p = 2), then reduced mod f by Barrett.
+The modulus search forms T^(p^i) mod f so, and its gcd with f on dense
+lists; `_mul_raw` and `_pow_raw`, which convert codes by a table of the
+q^2 half codes, serve the generator searches (`_first_of_order`), the
+products that seed the tables and those above them.  The tests check
+them against a dense schoolbook product, and the tables against them.
 
 At run time the arithmetic is `add`, `neg`, `mul`, `inv` and `pow`; a
 difference is an `add` of a `neg`, a quotient a `mul` by an `inv`.
@@ -80,7 +82,6 @@ to every dataclass field marked with ELEMENT metadata.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 from array import array
 from bisect import bisect_right
@@ -118,7 +119,8 @@ def prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over F_p, little-endian coefficient lists
+# polynomials over F_p: dense little-endian lists for the gcd of the modulus
+# search, packed ints for products mod a monic f
 # ---------------------------------------------------------------------------
 
 def _trim(c: list[int]) -> list[int]:
@@ -127,60 +129,73 @@ def _trim(c: list[int]) -> list[int]:
     return c
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _poly_mod(a: list[int], f: list[int], p: int) -> list[int]:
-    # f need not be monic; divide through by its leading coefficient
-    a = _trim(a[:])
-    df = len(f) - 1
-    linv = pow(f[-1], -1, p)
-    while len(a) - 1 >= df and a:
-        c = (a[-1] * linv) % p
-        shift = len(a) - 1 - df
-        if c:
-            for i, fi in enumerate(f):
-                a[shift + i] = (a[shift + i] - c * fi) % p
-        _trim(a)
-    return a
-
-
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd of two coefficient lists over F_p, by Euclid's remainders."""
     a, b = _trim(a[:]), _trim(b[:])
     while b:
-        a, b = b, _poly_mod(a, b, p)
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):  # a -= c*T^shift*b clears a's top term
+            c, shift = a[-1] * inv % p, len(a) - len(b)
+            for i, bi in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * bi) % p
+            _trim(a)
+        a, b = b, a
     return a
 
 
-def _poly_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    r = [1]
-    b = _poly_mod(base, f, p)
-    while e:
-        if e & 1:
-            r = _poly_mod(_poly_mul(r, b, p), f, p)
-        e >>= 1
-        if e:
-            b = _poly_mod(_poly_mul(b, b, p), f, p)
-    return r
+def _kronecker(f, p: int):
+    """(b, mul, power) on residues mod the monic f over F_p, each one int
+    with the coefficient of T^i in bits [ib, ib + b).
+
+    Every field `mul` forms is at most n (p - 1)^2 < 2^c, n = deg f; `red`
+    takes each mod p: `& ones` for p = 2, else v - p*(v div p), the
+    quotients from one product by floor(2^s/p) + 1, exact below 2^c for
+    s = c + bits(p), in fields of 2c + 2 bits.  Barrett: for P = A*T^n + B
+    and mu = T^(2n) div f, P div f = (A*mu) div T^n exactly.
+    """
+    n = len(f) - 1
+    c = (n * (p - 1) ** 2).bit_length()
+    b = c if p == 2 else 2 * c + 2
+    nb, low = n * b, (1 << n * b) - 1
+    ones = sum(1 << i * b for i in range(2 * n + 1))
+    red = ones.__and__
+    if p > 2:
+        s = c + p.bit_length()
+        magic, quot = (1 << s) // p + 1, ones * ((1 << b - s) - 1)
+
+        def red(v):
+            return v - p * (v * magic >> s & quot)
+    minus_f = sum(-fj % p << i * b for i, fj in enumerate(f))
+    rem, mu = 1 << 2 * nb, 0
+    for i in range(n, -1, -1):  # long division of T^(2n) by f: clear field i + n
+        lead = rem >> (i + n) * b
+        rem, mu = red(rem + (lead * minus_f << i * b)), mu + (lead << i * b)
+    minus_f &= low
+
+    def mul(u, v):  # B + (P div f)*(-f) below T^n
+        w = red(u * v)
+        return red((w + (red((w >> nb) * mu) >> nb) * minus_f) & low)
+
+    def power(u, e):
+        r = 1
+        for bit in bin(e)[2:]:
+            r = mul(r, r)
+            if bit == "1":
+                r = mul(r, u)
+        return r
+
+    return b, mul, power
 
 
 def _is_irreducible_generic(f: list[int], p: int) -> bool:
     # a monic degree-n polynomial with no irreducible factor of degree
     # <= n // 2 is irreducible; such factors divide T^(p^i) - T
     n = len(f) - 1
-    r = [0, 1]
+    b, _, power = _kronecker(f, p)
+    r = 1 << b  # T
     for _ in range(n // 2):
-        r = _poly_powmod(r, p, f, p)
-        g = _poly_gcd([(c - t) % p for c, t in itertools.zip_longest(r, [0, 1], fillvalue=0)], f, p)
+        r = power(r, p)
+        g = _poly_gcd([((r >> i * b) % (1 << b) - (i == 1)) % p for i in range(n)], f, p)
         if len(g) - 1 > 0:
             return False
     return True
@@ -378,6 +393,13 @@ class FieldTower:
             raise BudgetError(
                 f"ambient order p^(4a) = {self.order} exceeds 2^31, the reach of 4-byte tables")
         self.modulus = self._find_modulus()
+        b, self._kmul, self._kpow = _kronecker(self.modulus, p)
+        # a half code (q^2 entries) to its packed digits and back
+        q2, shift, half = self.q2, 2 * a * b, (1 << 2 * a * b) - 1
+        packed = _digit_table(range(p), 1 << b, 2 * a)
+        unpacked = dict(zip(packed, range(q2)))
+        self._pack = lambda x: packed[x % q2] + (packed[x // q2] << shift)
+        self._unpack = lambda v: unpacked[v & half] + unpacked[v >> shift] * q2
         self._build_tables()
         # rev[x] for x < q^2: the 2a residue digits of x in reverse order
         half_top = self.q2 // p
@@ -386,6 +408,7 @@ class FieldTower:
             rev[x] = rev[x // p] // p + (x % p) * half_top
         self._rev = rev
         self._level_cache: dict[int, tuple[int, ...]] = {}
+        self._full_tower: FieldTower | None = None  # `_full`, set here so reads stay fast
         self.xi = _first_of_order(self.q2 - 1, self.elements(2)[1:], self.pow)
 
     # -- construction ------------------------------------------------------
@@ -401,14 +424,13 @@ class FieldTower:
         raise RuntimeError("no irreducible modulus found")  # unreachable
 
     def _mul_raw(self, x: int, y: int) -> int:
-        """Product without tables, straight from the residue polynomials."""
-        ax, ay = self.coeffs(x), self.coeffs(y)
-        prod = _poly_mul(list(ax), list(ay), self.p)
-        return self.element(_poly_mod(prod, list(self.modulus), self.p))
+        """Product without tables, straight from the packed residue polynomials."""
+        pack = self._pack
+        return self._unpack(self._kmul(pack(x), pack(y)))
 
     def _pow_raw(self, x: int, e: int) -> int:
-        """x^e for e >= 0 without tables, straight from the residue polynomials."""
-        return self.element(_poly_powmod(list(self.coeffs(x)), e, list(self.modulus), self.p))
+        """x^e for e >= 0 without tables, straight from the packed residue polynomials."""
+        return self._unpack(self._kpow(self._pack(x), e))
 
     def _build_tables(self) -> None:
         p, h, half = self.p, self.q2, 2 * self.a
@@ -534,10 +556,12 @@ class FieldTower:
         """g^k for any integer k."""
         return self._exp[k % self.units]
 
-    @functools.cached_property
+    @property
     def _full(self) -> FieldTower:
         """The top-4 tower of (p, a), built once: top 2 reads it outside k."""
-        return FieldTower(self.p, self.a, budget=self.order)
+        if self._full_tower is None:
+            self._full_tower = FieldTower(self.p, self.a, budget=self.order)
+        return self._full_tower
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:

@@ -12,7 +12,7 @@ full point set of a maximal trace-family curve.
 
 The classes of x come from the group G generated by the q^2-power
 Frobenius sigma and the scalings (x, y) -> (alpha * x, alpha^d * y)
-with alpha in k and alpha^d in F_{p^s}, s = gcd(2a, {i > 0 : a_i != 0}),
+with alpha in k and alpha^d in F_{p^s}, s = `curve.scalar_degree(2)`,
 so that F(alpha^d * y) = alpha^d * F(y).  The scalings are automorphisms
 fixing P_infinity, so they carry L((q+1) * P_infinity) to itself, and
 sigma conjugates the expansion of every k-rational function; so the
@@ -106,8 +106,7 @@ def _orbit_group(curve: CurveModel) -> tuple[tuple[int, int], ...]:
     exactly the alpha in k with alpha^d in F_{p^s}.
     """
     t = curve.tower
-    s = math.gcd(2 * t.a, *(i for i, c in enumerate(curve.f_coeffs) if i and c))
-    g = math.gcd(curve.d * (t.p ** s - 1), t.q2 - 1)
+    g = math.gcd(curve.d * (t.p ** curve.scalar_degree(2) - 1), t.q2 - 1)
     alphas = [t.pow(t.xi, (t.q2 - 1) // g * i) for i in range(g)]
     return tuple((alpha, t.pow(alpha, curve.d)) for alpha in alphas)
 

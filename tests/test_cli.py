@@ -323,7 +323,7 @@ def test_each_subcommand_builds_the_tower_it_needs(capsys, monkeypatch, tmp_path
     assert rc == 0
     assert len(built) == 1
     assert (built[0].top, built[0].units) == (top, built[0].q ** top - 1)
-    assert "_full" not in vars(built[0])  # no product left the tables
+    assert built[0]._full_tower is None  # no product left the tables
 
 
 def test_internal_check_failure_exits_1_with_json_error(capsys, monkeypatch):

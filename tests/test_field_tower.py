@@ -18,7 +18,7 @@ from maxcurves import (
     hermitian_curve,
     to_json,
 )
-from maxcurves import field_tower
+from maxcurves import curve_model, field_tower
 from maxcurves.field_tower import LEVELS, _basis, _is_irreducible_generic, _orbit, prime_factors
 
 
@@ -47,6 +47,27 @@ def poly_mul(f, g, p):
         for j, b in enumerate(g):
             out[i + j] = (out[i + j] + a * b) % p
     return out
+
+
+def poly_powmod(base, e, f, p):
+    """base^e mod the monic f, square and multiply on dense lists."""
+    r, base = [1], poly_rem(base, f, p)
+    while e:
+        if e & 1:
+            r = poly_rem(poly_mul(r, base, p), f, p)
+        e >>= 1
+        base = poly_rem(poly_mul(base, base, p), f, p)
+    return r
+
+
+def dense_mul(tw, x, y):
+    """x*y by the schoolbook product of the residue lists, then mod f."""
+    p = tw.p
+    return tw.element(poly_rem(poly_mul(list(tw.coeffs(x)), list(tw.coeffs(y)), p), tw.modulus, p))
+
+
+def dense_pow(tw, x, e):
+    return tw.element(poly_powmod(list(tw.coeffs(x)), e, tw.modulus, tw.p))
 
 
 def all_monic(deg, p):
@@ -302,6 +323,51 @@ def test_zero_edge_cases(t3):
 # table-driven arithmetic vs. raw polynomial arithmetic
 # ---------------------------------------------------------------------------
 
+# The packed products against the dense schoolbook oracle.  Every other
+# test that checks the tables against `_mul_raw`/`_pow_raw` rests on these.
+
+@pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2), (5, 1)], ids=str)
+def test_packed_product_matches_dense_on_every_pair(p, a):
+    # row x of the oracle is the span of the dense products x*T^i: entry y
+    # of `_span` is sum(y_i * x*T^i), that is x*y
+    tw = build_tower(p, a, top=2)
+    for x in range(tw.order):
+        row = field_tower._span(tw, [dense_mul(tw, x, p ** i) for i in range(tw.degree)])
+        assert [tw._mul_raw(x, y) for y in range(tw.order)] == row, x
+
+
+def test_packed_product_matches_dense_on_the_digit_extremes():
+    # (7, 1), q^4 = 2401: every x against every y with digits in
+    # {0, 1, p - 1}; the largest fields come from digits p - 1
+    tw, p = build_tower(7, 1, top=2), 7
+    for ds in itertools.product((0, 1, p - 1), repeat=tw.degree):
+        y = tw.element(ds)
+        column = field_tower._span(tw, [dense_mul(tw, y, p ** i) for i in range(tw.degree)])
+        assert [tw._mul_raw(x, y) for x in range(tw.order)] == column, y
+
+
+@pytest.mark.parametrize("p,a", [(7, 1), (5, 2), (2, 4), (2, 5), (3, 3), (31, 1)], ids=str)
+def test_packed_product_matches_dense_on_sampled_pairs(p, a):
+    tw = build_tower(p, a, top=2)
+    rng = random.Random(p ** a)
+    top = tw.order - 1
+    for _ in range(20000):
+        x, y = rng.randrange(tw.order), rng.choice((top, rng.randrange(tw.order)))
+        assert tw._mul_raw(x, y) == dense_mul(tw, x, y), (x, y)
+
+
+@pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 4),
+                                 (11, 1), (5, 2), (2, 5), (3, 3), (31, 1)], ids=str)
+def test_packed_power_matches_dense(p, a):
+    tw = build_tower(p, a, top=2)
+    q, Q = tw.q, tw.order
+    rng = random.Random(Q)
+    xs = [0, 1, p - 1, tw.xi, Q - 1] + [rng.randrange(Q) for _ in range(5)]
+    for x in xs:
+        for e in (0, 1, p, q * q, Q - 2, Q - 1, Q):
+            assert tw._pow_raw(x, e) == dense_pow(tw, x, e), (x, e)
+
+
 def test_tables_agree_with_raw_multiplication(t5):
     rng = random.Random(7)
     for _ in range(80):
@@ -472,7 +538,7 @@ def test_k_only_levels_agree_on_every_ambient_code(p, a):
     for x in range(full.order):
         assert [tw.in_level(x, lv) for lv in LEVELS] == [full.in_level(x, lv) for lv in LEVELS]
         assert tw.subfield_level(x) == full.subfield_level(x)
-    assert "_full" not in vars(tw)  # membership needs no product outside k
+    assert tw._full_tower is None  # membership needs no product outside k
 
 
 @pytest.mark.parametrize("p,a", [(2, 2), (3, 1), (2, 4)], ids=str)
@@ -491,7 +557,7 @@ def test_k_only_tables_and_refusals(p, a):
     assert _basis(tw, 4) == _basis(full.tower, 4)
     assert curve.count(4) == full.count(4)
     assert curve.fiber(1, 4) == full.fiber(1, 4)
-    assert "_full" not in vars(tw)
+    assert tw._full_tower is None
     for above in (tw.elements, curve.enumerate_points):
         with pytest.raises(ValueError, match="above this tower's tables"):
             above(4)
@@ -525,20 +591,76 @@ def is_power(p, n):
     return n == 1
 
 
+def walk_cases(tw):
+    """(coeffs, d) whose count(4) walks the cosets of H: for F = T^p + T
+    (s = 1), T^q + T (s = a) and xi*T (s = 4a), the first n = (q^4 - 1)/g
+    in the walk branch with |H| = 1 and the first with |H| > 1 where they
+    exist, and for xi*T also n = q^2 + 1, held by no F_(p^s)* with s < 4a."""
+    p, a, q, Q = tw.p, tw.a, tw.q, tw.order
+    walks = [n for n in range(2, Q) if (Q - 1) % n == 0 and not is_power(p, n + 1)]
+    out = []
+    for coeffs, s in (((1, 1), 1), ((1,) + (0,) * (a - 1) + (1,), a), ((tw.xi,), 4 * a)):
+        ns = {next((n for n in walks if (gcd(n, p ** s - 1) > 1) == big), None)
+              for big in (False, True)}
+        if s == 4 * a:
+            ns.add(q * q + 1)
+        out += [(coeffs, (Q - 1) // n) for n in ns - {None}]
+    return out
+
+
 @pytest.mark.parametrize("p,a", TABLE_TOWERS + [(2, 3), (5, 2), (2, 5)], ids=str)
-def test_k_only_quartic_counts_agree_with_full_tower(p, a):
+def test_k_only_quartic_counts_agree_with_full_tower(monkeypatch, p, a):
     # count(4) on the k-only tower (elimination by raw products, the orbit
-    # of G^g in place of logs) against the log count of the top-4 tower
+    # of G^g in place of logs) against the log count of the top-4 tower;
+    # a walk takes one g-th power eta^i per coset of H = D & F_(p^s)*,
+    # n/|H| orbit steps, s = gcd(4a, i > 0 with a_i != 0)
+    walked = []
+    monkeypatch.setattr(curve_model, "_orbit", lambda tw, c, n: walked.append(n) or _orbit(tw, c, n))
     full, tw = build_tower(p, a), build_tower(p, a, top=2)
+    Q = tw.order
     curves = [((1,) + (0,) * (a - 1) + (1,), m) for m in range(1, tw.q + 2) if (tw.q + 1) % m == 0]
-    curves += seeded_additive_curves(tw, random.Random(p ** a))
+    curves += seeded_additive_curves(tw, random.Random(p ** a)) + walk_cases(tw)
     # each branch: L = F_(q^4), L = k and a walk; size is |L| on the first two
-    sizes = {(tw.order - 1) // gcd(d, tw.order - 1) + 1 for _, d in curves}
-    assert {tw.order, tw.q2} <= sizes and not all(is_power(p, n) for n in sizes)
+    sizes = {(Q - 1) // gcd(d, Q - 1) + 1 for _, d in curves}
+    assert {Q, tw.q2} <= sizes and not all(is_power(p, n) for n in sizes)
+    cosets = set()
     for coeffs, d in curves:
+        walked.clear()
         assert define_curve(tw, coeffs, d).count(4) == define_curve(full, coeffs, d).count(4), \
             (coeffs, d)
-    assert "_full" not in vars(tw)
+        n = (Q - 1) // gcd(d, Q - 1)
+        if not is_power(p, n + 1):
+            s = gcd(4 * a, *(i for i, c in enumerate(coeffs) if i and c))
+            h = gcd(n, p ** s - 1)
+            assert walked == [n // h], (coeffs, d)
+            cosets.add((s, h > 1))
+    assert {s for s, _ in cosets} >= {1, a, 4 * a}
+    assert {big for _, big in cosets} == {False, True}
+    assert tw._full_tower is None
+
+
+@pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 3)], ids=str)
+def test_f_commutes_with_the_scalars_of_its_field(p, a):
+    # the premise of the coset walk: F(c*y) = c*F(y) for c in F_(p^s),
+    # s = scalar_degree(4), at y outside k by raw products; the generator
+    # G of F_(q^4)*, outside F_(p^s) when s < 4a, fails it
+    tw = build_tower(p, a, top=2)
+    outside = [y for y in range(1, tw.order) if y not in tw._log]
+    outside = random.Random(p ** a).sample(outside, min(40, len(outside)))
+    G, mul = tw._generator(), tw._mul_raw
+    for coeffs, s in (((1, 1), 1), ((1,) + (0,) * (a - 1) + (1,), a),
+                      ((tw.xi, 0, 1), gcd(4 * a, 2)), ((tw.xi,), 4 * a)):
+        curve = define_curve(tw, coeffs, 1)
+        assert (curve.scalar_degree(4), curve.scalar_degree(2)) == (s, gcd(2 * a, s))
+
+        def F(y):
+            return curve.f_eval(y, raw=True)
+
+        eta = tw._pow_raw(G, (tw.order - 1) // (p ** s - 1))  # generates F_(p^s)*
+        for c in [tw._pow_raw(eta, i) for i in range(min(p ** s - 1, 20))]:
+            assert all(F(mul(c, y)) == mul(c, F(y)) for y in outside), (coeffs, c)
+        assert (s < 4 * a) == any(F(mul(G, y)) != mul(G, F(y)) for y in outside)
+    assert tw._full_tower is None
 
 
 @pytest.mark.parametrize("p,a,c", [(2, 2, 7), (3, 1, 5), (2, 3, 300), (5, 1, 17)], ids=str)
@@ -552,7 +674,7 @@ def test_orbit_matches_raw_powers(p, a, c):
         blocks = list(_orbit(tw, c, n))
         assert [len(b) for b in blocks] == [min(h, n - s) for s in range(0, n, h)]
         assert [x for b in blocks for x in b] == [tw._pow_raw(c, i) for i in range(n)], n
-    assert "_full" not in vars(tw)
+    assert tw._full_tower is None
 
 
 @pytest.mark.parametrize("p,a", [(2, 2), (3, 1), (5, 1), (3, 2)], ids=str)
@@ -568,7 +690,7 @@ def test_remainder_is_zero_exactly_on_the_image(p, a):
         image = set(curve.image(4))
         assert [x for x, r in enumerate(rem(range(tw.order))) if r == 0] == sorted(image)
         assert len(image) * len(curve.kernel(4)) == tw.order
-    assert "_full" not in vars(tw)
+    assert tw._full_tower is None
 
 
 @pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)], ids=str)
@@ -580,7 +702,7 @@ def test_scale_matches_digit_loop_on_every_code(p, a):
 
     for c in range(p):
         assert all(tw.scale(c, x) == scale_raw(c, x) for x in range(tw.order)), c
-    assert "_full" not in vars(tw)
+    assert tw._full_tower is None
 
 
 @pytest.mark.parametrize("p,a", [(2, 2), (3, 1), (5, 1)], ids=str)
@@ -594,7 +716,7 @@ def test_k_only_products_outside_k_come_from_the_full_tower(p, a):
         if x:
             tw.inv(x)
         tw.pow(x, tw.q + 2)
-    assert "_full" not in vars(tw)
+    assert tw._full_tower is None
     outside = [x for x in range(1, tw.order) if not full.in_level(x, 2)]
     with pytest.raises(KeyError):
         tw.log(outside[0])
@@ -604,8 +726,8 @@ def test_k_only_products_outside_k_come_from_the_full_tower(p, a):
         assert tw.mul(x, y) == tw.mul(y, x) == full.mul(x, y) == tw._mul_raw(x, y)
         assert tw.inv(x) == full.inv(x)
         assert tw.pow(x, -3) == full.pow(x, -3)
-    assert vars(tw)["_full"].top == 4
-    assert tw._full is vars(tw)["_full"]  # built once
+    assert tw._full_tower.top == 4
+    assert tw._full is tw._full_tower  # built once
 
 
 # p = 7 fills its fields tightest (H = 8), a = 3 packs 6 coordinates a symbol

@@ -120,6 +120,10 @@ GOLDEN = [
      "6c6b4ba3aa7050030b1a3a7744a593c6da995a32bb51020259576fcd2edadbe8"),
     ("curve --p 2 --a 3 --additive 1,1 --d 65", 0,
      "cd4a580429380e71a3f6b55ae7e73b72589c46b46f6e028bd22bf6b8c92e7fd4"),
+    # q = 49 past the default budget: the quartic count walks the cosets
+    # of H = D & F_49* in F_(q^4)*, 60 050 orbit steps
+    ("curve --p 7 --a 2 --hermitian-m 2 --budget 8388608", 0,
+     "68d0da3e75bc34f0eea6dca54f0ba2819482b8fc77707ffa01e21f6353503b5e"),
 ]
 
 # sha256 of the CSV that `curve ... --emit` writes: the point listings
